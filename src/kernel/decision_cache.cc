@@ -12,7 +12,40 @@ uint64_t HashTuple(const AuthzRequest& r) {
   return Mix64(packed ^ Mix64(r.subject + 0x9e3779b97f4a7c15ULL));
 }
 
+// Every access to a field the lock-free Lookup reads goes through these,
+// so concurrent readers and writers only ever race on atomics.
+template <typename T>
+T Load(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field)).load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void Store(T& field, T value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+// The writer half of the shard seqlock: the sequence word is odd for the
+// whole section, and the release fence orders the odd store before any
+// data store a reader might observe. Caller holds shard.mu.
+class DecisionCache::WriteSection {
+ public:
+  explicit WriteSection(Shard& shard) : shard_(shard) {
+    uint64_t seq = shard_.seq.load(std::memory_order_relaxed);
+    shard_.seq.store(seq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+  ~WriteSection() {
+    shard_.seq.store(shard_.seq.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
+  }
+  WriteSection(const WriteSection&) = delete;
+  WriteSection& operator=(const WriteSection&) = delete;
+
+ private:
+  Shard& shard_;
+};
 
 DecisionCache::DecisionCache() : DecisionCache(Config{}) {}
 
@@ -48,8 +81,9 @@ void DecisionCache::Clear() {
   // the clear drop for the same reason.)
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
+    WriteSection section(*shard);
     for (uint64_t& gen : shard->generations) {
-      ++gen;
+      Store(gen, Load(gen) + 1);
     }
   }
 }
@@ -76,14 +110,15 @@ std::vector<uint64_t> DecisionCache::SubregionGenerations(OpId op, ObjectId obj)
   gens.reserve(shards_.size());
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    gens.push_back(shard->generations[sub]);
+    gens.push_back(Load(shard->generations[sub]));
   }
   return gens;
 }
 
-DecisionCache::Entry* DecisionCache::FindLocked(Shard& shard, const AuthzRequest& request) {
+std::optional<bool> DecisionCache::Probe(const Shard& shard,
+                                         const AuthzRequest& request) const {
   size_t sub = SubregionIndex(request.op, request.obj);
-  uint64_t generation = shard.generations[sub];
+  uint64_t generation = Load(shard.generations[sub]);
   uint64_t key = HashTuple(request);
   size_t base = sub * config_.entries_per_subregion;
   size_t start = static_cast<size_t>(key % config_.entries_per_subregion);
@@ -91,43 +126,53 @@ DecisionCache::Entry* DecisionCache::FindLocked(Shard& shard, const AuthzRequest
   // generation was invalidated (or the slot was never filled: stamp 0);
   // either way it terminates the probe chain exactly as an empty slot did.
   for (size_t i = 0; i < config_.entries_per_subregion; ++i) {
-    Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
-    if (e.generation != generation) {
-      return nullptr;
+    const Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
+    if (Load(e.generation) != generation) {
+      return std::nullopt;
     }
-    if (e.subject == request.subject && e.op == request.op && e.obj == request.obj) {
-      return &e;
+    if (Load(e.subject) == request.subject && Load(e.op) == request.op &&
+        Load(e.obj) == request.obj) {
+      return Load(e.allow);
     }
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::optional<bool> DecisionCache::Lookup(const AuthzRequest& request) {
   Shard& shard = *shards_[ShardOf(request.subject)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* e = FindLocked(shard, request);
-  if (e == nullptr) {
-    shard.misses->Increment();
-    return std::nullopt;
+  std::optional<bool> found;
+  // Seqlock read: a probe bracketed by one even sequence value saw no
+  // writer, so its answer is exactly what the locked probe would return.
+  uint64_t seq = shard.seq.load(std::memory_order_acquire);
+  bool stable = false;
+  if ((seq & 1) == 0) {
+    found = Probe(shard, request);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    stable = shard.seq.load(std::memory_order_relaxed) == seq;
   }
-  shard.hits->Increment();
-  return e->allow;
+  if (!stable) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    found = Probe(shard, request);
+  }
+  (found.has_value() ? shard.hits : shard.misses)->Increment();
+  return found;
 }
 
 void DecisionCache::InsertLocked(Shard& shard, const AuthzRequest& request, bool allow) {
   size_t sub = SubregionIndex(request.op, request.obj);
-  uint64_t generation = shard.generations[sub];
+  uint64_t generation = Load(shard.generations[sub]);
   uint64_t key = HashTuple(request);
   size_t base = sub * config_.entries_per_subregion;
   size_t start = static_cast<size_t>(key % config_.entries_per_subregion);
   Entry* victim = nullptr;
   for (size_t i = 0; i < config_.entries_per_subregion; ++i) {
     Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
-    if (e.generation != generation) {
+    if (Load(e.generation) != generation) {
       victim = &e;  // Empty or invalidated slot.
       break;
     }
-    if (e.subject == request.subject && e.op == request.op && e.obj == request.obj) {
+    if (Load(e.subject) == request.subject && Load(e.op) == request.op &&
+        Load(e.obj) == request.obj) {
       victim = &e;  // Update in place.
       break;
     }
@@ -136,12 +181,22 @@ void DecisionCache::InsertLocked(Shard& shard, const AuthzRequest& request, bool
     // Subregion full: evict the natural slot (cache is soft state).
     victim = &shard.entries[base + start];
   }
-  victim->generation = generation;
-  victim->allow = allow;
-  victim->subject = request.subject;
-  victim->op = request.op;
-  victim->obj = request.obj;
+  {
+    WriteSection section(shard);
+    Store(victim->generation, generation);
+    Store(victim->allow, allow);
+    Store(victim->subject, request.subject);
+    Store(victim->op, request.op);
+    Store(victim->obj, request.obj);
+  }
   shard.insertions->Increment();
+}
+
+uint64_t DecisionCache::BumpLocked(Shard& shard, size_t sub) {
+  WriteSection section(shard);
+  uint64_t bumped = Load(shard.generations[sub]) + 1;
+  Store(shard.generations[sub], bumped);
+  return bumped;
 }
 
 void DecisionCache::Insert(const AuthzRequest& request, bool allow) {
@@ -153,14 +208,14 @@ void DecisionCache::Insert(const AuthzRequest& request, bool allow) {
 uint64_t DecisionCache::Generation(const AuthzRequest& request) const {
   const Shard& shard = *shards_[ShardOf(request.subject)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.generations[SubregionIndex(request.op, request.obj)];
+  return Load(shard.generations[SubregionIndex(request.op, request.obj)]);
 }
 
 bool DecisionCache::InsertIfUnchanged(const AuthzRequest& request, bool allow,
                                       uint64_t generation) {
   Shard& shard = *shards_[ShardOf(request.subject)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.generations[SubregionIndex(request.op, request.obj)] != generation) {
+  if (Load(shard.generations[SubregionIndex(request.op, request.obj)]) != generation) {
     return false;  // An invalidation raced the verdict: drop, don't cache.
   }
   InsertLocked(shard, request, allow);
@@ -173,13 +228,13 @@ void DecisionCache::InvalidateEntry(const AuthzRequest& request, uint64_t* post_
   // key's probe chain. Only the subject's shard can hold the entry.
   Shard& shard = *shards_[ShardOf(request.subject)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (FindLocked(shard, request) != nullptr) {
+  if (Probe(shard, request).has_value()) {
     shard.invalidated_entries->Increment();
   }
   // The generation bump retires the subregion's entries wholesale, and it
   // bumps whether or not an entry existed: an in-flight verdict for this
   // tuple predates the proof update and must not be cached.
-  uint64_t bumped = ++shard.generations[SubregionIndex(request.op, request.obj)];
+  uint64_t bumped = BumpLocked(shard, SubregionIndex(request.op, request.obj));
   if (post_gen != nullptr) {
     *post_gen = bumped;
   }
@@ -198,7 +253,7 @@ void DecisionCache::InvalidateSubregion(OpId op, ObjectId obj,
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
-    uint64_t bumped = ++shard.generations[sub];
+    uint64_t bumped = BumpLocked(shard, sub);
     shard.subregion_invalidations->Increment();
     if (post_gens != nullptr) {
       (*post_gens)[i] = bumped;

@@ -13,7 +13,8 @@
 //
 // The cache is SHARDED by Mix64(subject) so a multi-worker authorization
 // frontend scales: each shard holds its own subregion array, statistics,
-// and lock, and a lookup or insert takes exactly one shard mutex. Because
+// and lock; an insert takes exactly one shard mutex, and a lookup takes
+// none unless it races a writer (see the seqlock below). Because
 // the shard function ignores (operation, object), a setgoal invalidation
 // broadcasts the subregion clear to every shard; per-shard stats aggregate
 // on read.
@@ -25,9 +26,18 @@
 // invalidated the subregion in between bumps the generation and the stale
 // verdict is dropped instead of cached — preserving the serial decision
 // order the flush-boundary discipline defines.
+//
+// A HIT takes no lock and writes no shared cache line. Each shard carries
+// a sequence word, even when stable and odd while a writer (insert,
+// invalidation, Clear — all under the shard mutex) is mid-update. Lookup
+// reads the word, probes the entries through relaxed atomic loads, and
+// re-reads the word: unchanged and even means the probe saw one stable
+// state, otherwise the lookup retries under the shard mutex. The counters
+// it bumps are per-thread cells (util/metrics.h).
 #ifndef NEXUS_KERNEL_DECISION_CACHE_H_
 #define NEXUS_KERNEL_DECISION_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -157,11 +167,14 @@ class DecisionCache {
   };
 
   // A shard owns its mutex; unique_ptr keeps the vector reconfigurable.
-  // Tallies are registry instruments (metrics plane, "cache.*"): relaxed
-  // atomics, one set per shard so shards never contend on a shared
-  // counter; stats() sums them, the registry snapshot aggregates them.
-  struct Shard {
+  // Entry fields and generations are read by the lock-free Lookup, so they
+  // are only ever accessed through std::atomic_ref (relaxed); writers also
+  // hold `mu` and bracket their stores with `seq` (see file comment).
+  // Tallies are registry instruments (metrics plane, "cache.*"), one set
+  // per shard; stats() sums them, the registry snapshot aggregates them.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
+    std::atomic<uint64_t> seq{0};  // Odd while a writer is mid-update.
     std::vector<Entry> entries;       // num_subregions * entries_per_subregion
     std::vector<uint64_t> generations;  // per subregion
     metrics::Counter* hits = nullptr;
@@ -170,11 +183,18 @@ class DecisionCache {
     metrics::Counter* invalidated_entries = nullptr;
     metrics::Counter* subregion_invalidations = nullptr;
   };
+  class WriteSection;
 
   size_t SubregionIndex(OpId op, ObjectId obj) const;
-  // The matching entry in `shard`, or nullptr. Caller holds shard.mu.
-  Entry* FindLocked(Shard& shard, const AuthzRequest& request);
+  // The verdict of the live entry matching `request`, or nullopt. Safe both
+  // under shard.mu and inside a seqlock read (every load is atomic and
+  // every index is bounded by the immutable config).
+  std::optional<bool> Probe(const Shard& shard, const AuthzRequest& request) const;
+  // Caller holds shard.mu.
   void InsertLocked(Shard& shard, const AuthzRequest& request, bool allow);
+  // Bumps subregion `sub` of `shard` and returns the new generation.
+  // Caller holds shard.mu.
+  uint64_t BumpLocked(Shard& shard, size_t sub);
 
   Config config_;
   // Declared before shards_: shard counters live in the group and must

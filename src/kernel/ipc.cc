@@ -1,15 +1,16 @@
 #include "kernel/ipc.h"
 
-#include <atomic>
-
 #include "nal/interner.h"
+#include "util/metrics.h"
 
 namespace nexus::kernel {
 
 namespace {
 
-// Process-wide audit counter for the zero-string hot-path assertion.
-std::atomic<uint64_t> text_payloads{0};
+// Process-wide audit counter for the zero-string hot-path assertion
+// (per-thread cells: a tally every message builder bumps must not be one
+// cache line shared by all cores).
+constinit metrics::Counter text_payloads;
 
 // Wire op-kind discriminators (first byte after the version).
 constexpr uint8_t kOpInterned = 0;
@@ -18,7 +19,7 @@ constexpr uint8_t kWireVersion = 2;
 
 }  // namespace
 
-uint64_t IpcTextPayloadCount() { return text_payloads.load(); }
+uint64_t IpcTextPayloadCount() { return text_payloads.Value(); }
 
 void ArgVec::DetachArena() {
   // Copy-on-write: appending through an arena some other ArgVec still
@@ -34,7 +35,7 @@ bool ArgVec::AddPayload(ArgTag tag, std::string_view payload) {
   if (count_ >= kMaxArgs || arena_size + payload.size() > 0xffffffffULL) {
     return false;
   }
-  text_payloads.fetch_add(1, std::memory_order_relaxed);
+  text_payloads.Increment();
   DetachArena();
   if (arena_ == nullptr) {
     arena_ = std::make_shared<std::string>();
@@ -77,7 +78,7 @@ IpcMessage IpcMessage::FromLegacy(std::string_view operation,
     // Carried UNTRUNCATED: the kernel boundary rejects names past
     // kMaxLegacyOpName (truncating here would alias distinct long names
     // to one identity while other surfaces intern the full text).
-    text_payloads.fetch_add(1, std::memory_order_relaxed);
+    text_payloads.Increment();
     message.legacy_op_.assign(operation);
   }
   for (const std::string& arg : legacy_args) {

@@ -122,6 +122,7 @@ Status Kernel::KillProcess(ProcessId pid) {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     for (auto port_it = shard.ports.begin(); port_it != shard.ports.end();) {
       if (port_it->second.owner == pid) {
+        port_epoch_.store(NextEpoch(), std::memory_order_release);
         if (port_it->first < kFirstDynamicPort) {
           // Reserved ids outlive their claimant: revert to an unclaimed
           // kernel-owned slot so the next boot service can reclaim it.
@@ -225,14 +226,61 @@ std::string Kernel::ProcPath(ProcessId pid) { return "/proc/ipd/" + std::to_stri
 
 // ----------------------------------------------------------------- Ports
 
-std::optional<Kernel::Port> Kernel::SnapshotPort(PortId port) const {
-  const PortShard& shard = port_shards_[ShardOfId(port)];
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.ports.find(port);
-  if (it == shard.ports.end()) {
-    return std::nullopt;
+namespace {
+
+// Per-thread snapshot memos: direct-mapped by port id (dynamic ids are
+// sequential, so the low bits spread them), keyed by (kernel, port, epoch).
+// A slot filled for another kernel or an older epoch simply misses.
+constexpr size_t kMemoSlots = 16;
+
+template <typename T>
+struct MemoSlot {
+  const Kernel* kernel = nullptr;
+  PortId port = 0;
+  uint64_t epoch = 0;  // Epochs start at 1: an empty slot never matches.
+  T value{};
+
+  bool Matches(const Kernel* k, PortId p, uint64_t e) const {
+    return kernel == k && port == p && epoch == e;
   }
-  return it->second;
+};
+
+const std::vector<Interceptor*> kNoMonitors;
+
+// A snapshotted chain's monitors, newest first (empty for a null chain).
+const std::vector<Interceptor*>& MonitorsOf(
+    const std::shared_ptr<const std::vector<Interceptor*>>& chain) {
+  return chain != nullptr ? *chain : kNoMonitors;
+}
+
+}  // namespace
+
+uint64_t Kernel::NextEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::optional<Kernel::Port> Kernel::SnapshotPort(PortId port) const {
+  static thread_local std::array<MemoSlot<std::optional<Port>>, kMemoSlots> memo;
+  auto& slot = memo[port % kMemoSlots];
+  // Read the epoch BEFORE the table: a write that lands after this load
+  // stores a different epoch, so a memo filled from a pre-write table can
+  // never validate once that write has returned.
+  uint64_t epoch = port_epoch_.load(std::memory_order_acquire);
+  if (slot.Matches(this, port, epoch)) {
+    return slot.value;
+  }
+  std::optional<Port> value;
+  {
+    const PortShard& shard = port_shards_[ShardOfId(port)];
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    auto it = shard.ports.find(port);
+    if (it != shard.ports.end()) {
+      value = it->second;
+    }
+  }
+  slot = {this, port, epoch, value};
+  return value;
 }
 
 Result<PortId> Kernel::CreatePort(ProcessId owner) {
@@ -246,6 +294,7 @@ Result<PortId> Kernel::CreatePort(ProcessId owner) {
     PortShard& shard = port_shards_[ShardOfId(id)];
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     shard.ports[id] = Port{id, owner, nullptr, generation};
+    port_epoch_.store(NextEpoch(), std::memory_order_release);
   }
   procfs_.PublishValue(owner, proc_node, std::to_string(owner));
   // Revalidate AFTER publishing: a KillProcess that raced the liveness
@@ -258,6 +307,7 @@ Result<PortId> Kernel::CreatePort(ProcessId owner) {
       PortShard& shard = port_shards_[ShardOfId(id)];
       std::unique_lock<std::shared_mutex> lock(shard.mu);
       shard.ports.erase(id);  // May already be gone (the kill swept it).
+      port_epoch_.store(NextEpoch(), std::memory_order_release);
     }
     procfs_.Remove(proc_node);  // Ditto.
     return NotFound("no such process");
@@ -285,6 +335,7 @@ Status Kernel::ClaimBootPort(PortId port, ProcessId owner, PortHandler* handler)
     it->second.owner = owner;
     it->second.handler = handler;
     it->second.generation = lifecycle_generation_.fetch_add(1) + 1;
+    port_epoch_.store(NextEpoch(), std::memory_order_release);
   }
   procfs_.PublishValue(owner, "/proc/port/" + std::to_string(port) + "/owner",
                        std::to_string(owner));
@@ -301,6 +352,7 @@ Status Kernel::DestroyPort(PortId port) {
     if (shard.ports.erase(port) == 0) {
       return NotFound("no such port");
     }
+    port_epoch_.store(NextEpoch(), std::memory_order_release);
   }
   {
     std::unique_lock<std::shared_mutex> lock(channels_mu_);
@@ -321,6 +373,7 @@ Status Kernel::BindHandler(PortId port, PortHandler* handler) {
     return NotFound("no such port");
   }
   it->second.handler = handler;
+  port_epoch_.store(NextEpoch(), std::memory_order_release);
   lifecycle_generation_.fetch_add(1);
   return OkStatus();
 }
@@ -491,7 +544,9 @@ IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) 
   // A nested Call (interposed hop, ipc_call, file-syscall forward) adopts
   // the surrounding trace id, so one logical operation is one trace.
   TraceScope trace;
-  if (!SnapshotPort(port).has_value()) {
+  // ONE port snapshot per call: the dispatch below runs against it.
+  std::optional<Port> snapshot = SnapshotPort(port);
+  if (!snapshot.has_value()) {
     return IpcReply(NotFound("no such port"));
   }
 
@@ -518,16 +573,15 @@ IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) 
   }
 
   // Newest interceptor first; composition is simply nesting (§3.2). The
-  // chain is snapshotted under the reader lock and run without it — or,
-  // when no monitor exists anywhere, skipped on one relaxed load.
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(port, &active);
+  // chain is snapshotted (memoized per thread) and run with no lock held —
+  // or, when no monitor exists anywhere, skipped on one relaxed load.
+  InterceptorChain chain = SnapshotInterceptors(port);
 
-  if (active.empty()) {
+  if (chain == nullptr) {
     // No monitor on this port: dispatch by reference, untouched. The reply
     // bounds check matches the interposed path below, so whether a
     // server's reply is accepted never depends on a monitor being present.
-    IpcReply reply = Dispatch(caller, port, *source);
+    IpcReply reply = Dispatch(caller, *snapshot, *source);
     if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
       reply = IpcReply(std::move(reply_bounds));
     }
@@ -542,6 +596,7 @@ IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) 
   // still exists for buffers that genuinely cross an address space (the
   // net layer, user-space monitor simulations); in-kernel chains get the
   // same bounds guarantees from Validate{Reply,}WireBounds alone.
+  const std::vector<Interceptor*>& active = *chain;
   IpcMessage working = *source;
   IpcContext context{caller, port};
   for (Interceptor* interceptor : active) {
@@ -553,7 +608,7 @@ IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) 
     }
   }
 
-  IpcReply reply = Dispatch(caller, port, working);
+  IpcReply reply = Dispatch(caller, *snapshot, working);
   if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
     reply = IpcReply(std::move(reply_bounds));
   }
@@ -575,32 +630,44 @@ IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) 
   return reply;
 }
 
-IpcReply Kernel::Dispatch(ProcessId caller, PortId port, const IpcMessage& message) {
-  std::optional<Port> snapshot = SnapshotPort(port);
-  if (!snapshot.has_value()) {
-    return IpcReply(NotFound("no such port"));
-  }
-  if (snapshot->handler == nullptr) {
+IpcReply Kernel::Dispatch(ProcessId caller, const Port& port, const IpcMessage& message) {
+  if (port.handler == nullptr) {
     return IpcReply(Unavailable("no handler bound to port"));
   }
   // The handler runs with no kernel lock held. A concurrent DestroyPort
-  // lets this in-flight call complete against the handler captured here
-  // (the snapshot carries the port generation for callers that care).
-  IpcContext context{caller, port};
-  return snapshot->handler->Handle(context, message);
+  // lets this in-flight call complete against the handler captured at
+  // entry (the snapshot carries the port generation for callers that care).
+  IpcContext context{caller, port.id};
+  return port.handler->Handle(context, message);
 }
 
-void Kernel::SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active) const {
+Kernel::InterceptorChain Kernel::SnapshotInterceptors(PortId port) const {
   if (!interposition_enabled_.load(std::memory_order_relaxed) ||
       interpose_count_.load(std::memory_order_acquire) == 0) {
-    return;
+    return nullptr;
   }
-  std::shared_lock<std::shared_mutex> lock(interpose_mu_);
-  for (auto it = interpositions_.rbegin(); it != interpositions_.rend(); ++it) {
-    if (it->port == port) {
-      active->push_back(it->interceptor);
+  static thread_local std::array<MemoSlot<InterceptorChain>, kMemoSlots> memo;
+  auto& slot = memo[port % kMemoSlots];
+  // Epoch before chain, as in SnapshotPort.
+  uint64_t epoch = interpose_epoch_.load(std::memory_order_acquire);
+  if (slot.Matches(this, port, epoch)) {
+    return slot.value;
+  }
+  std::vector<Interceptor*> active;
+  {
+    std::shared_lock<std::shared_mutex> lock(interpose_mu_);
+    for (auto it = interpositions_.rbegin(); it != interpositions_.rend(); ++it) {
+      if (it->port == port) {
+        active.push_back(it->interceptor);
+      }
     }
   }
+  InterceptorChain chain;
+  if (!active.empty()) {
+    chain = std::make_shared<const std::vector<Interceptor*>>(std::move(active));
+  }
+  slot = {this, port, epoch, chain};
+  return chain;
 }
 
 size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessage> messages,
@@ -632,8 +699,8 @@ size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessag
     }
     return 0;
   }
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(port, &active);
+  InterceptorChain chain = SnapshotInterceptors(port);
+  const std::vector<Interceptor*>& active = MonitorsOf(chain);
   IpcContext context{caller, port};
 
   // Fast path: no monitors, every message typed and in bounds — the
@@ -810,6 +877,7 @@ Result<uint64_t> Kernel::Interpose(ProcessId monitor, PortId port, Interceptor* 
   uint64_t token = next_interpose_token_.fetch_add(1);
   std::unique_lock<std::shared_mutex> lock(interpose_mu_);
   interpositions_.push_back(Interposition{token, port, monitor, interceptor});
+  interpose_epoch_.store(NextEpoch(), std::memory_order_release);
   // Release publish: the uninterposed fast path reads this count with
   // acquire and skips the interpose_mu_ shared lock entirely when zero.
   interpose_count_.store(interpositions_.size(), std::memory_order_release);
@@ -821,6 +889,7 @@ Status Kernel::RemoveInterposition(uint64_t token) {
   for (auto it = interpositions_.begin(); it != interpositions_.end(); ++it) {
     if (it->token == token) {
       interpositions_.erase(it);
+      interpose_epoch_.store(NextEpoch(), std::memory_order_release);
       interpose_count_.store(interpositions_.size(), std::memory_order_release);
       return OkStatus();
     }
@@ -879,8 +948,8 @@ IpcReply Kernel::Invoke(ProcessId caller, Syscall call, const IpcMessage& messag
   // processes) — its id is a compile-time constant, so attaching costs no
   // lookup and the uninterposed path takes no lock at all.
   IpcContext sys_context{caller, SyscallIpcPort(call)};
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(sys_context.port, &active);
+  InterceptorChain chain = SnapshotInterceptors(sys_context.port);
+  const std::vector<Interceptor*>& active = MonitorsOf(chain);
   for (Interceptor* interceptor : active) {
     if (interceptor->OnCall(sys_context, working) == InterposeVerdict::kDeny) {
       return IpcReply(PermissionDenied("blocked by reference monitor"));

@@ -129,9 +129,13 @@ struct Process {
 //    workers miss — the PR-3 "lifecycle must quiesce the frontend" rule is
 //    gone. `lifecycle_generation()` stamps every mutation; a lookup
 //    bracketed by equal generations observed a stable table.
-//  - Call/Invoke/Interpose snapshot the port/interposition state under
-//    reader locks and run handlers with no kernel lock held. A port
-//    destroyed mid-call completes its in-flight dispatches against the
+//  - Call/Invoke/Interpose snapshot the port/interposition state and run
+//    handlers with no kernel lock held. A warm snapshot takes no lock at
+//    all: every port write and every interposition write stores a fresh
+//    epoch (drawn from a process-wide counter) inside its writer critical
+//    section, and each thread memoizes its last snapshots keyed by
+//    (kernel, port, epoch), validated by one acquire load. A port
+//    destroyed mid-call completes its in-flight dispatch against the
 //    handler captured at entry (the owner frees handler memory only after
 //    in-flight calls drain — unchanged from the single-threaded contract).
 //  - procfs and the channel graph carry their own internal locks.
@@ -367,15 +371,28 @@ class Kernel {
   };
   static size_t ShardOfId(uint64_t id) { return Mix64(id) % kTableShards; }
 
-  // Snapshot of one port under its shard's reader lock; nullopt if absent.
+  // A port's newest-first interceptor chain; null when no monitor is
+  // installed on it. Immutable once built, so a reentrant Call on the same
+  // thread that refreshes the memo cannot pull it out from under a caller.
+  using InterceptorChain = std::shared_ptr<const std::vector<Interceptor*>>;
+
+  // Snapshot of one port; nullopt if absent. Served from the calling
+  // thread's memo while port_epoch_ is unchanged, else read under the
+  // shard's reader lock.
   std::optional<Port> SnapshotPort(PortId port) const;
 
-  // Newest-first interceptor chain for `port`, snapshotted under the
-  // reader lock — or not at all: the interpose_count_ fast path makes the
-  // no-monitors case one relaxed load, no lock, no allocation.
-  void SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active) const;
+  // The chain for `port`, from the thread's memo while interpose_epoch_ is
+  // unchanged, else snapshotted under the reader lock — or not at all: the
+  // interpose_count_ fast path makes the no-monitors case one relaxed
+  // load, no lock, no allocation.
+  InterceptorChain SnapshotInterceptors(PortId port) const;
 
-  IpcReply Dispatch(ProcessId caller, PortId port, const IpcMessage& message);
+  // A fresh epoch value for a writer critical section. Process-wide, so a
+  // Kernel rebuilt at a recycled address never matches a memo entry the
+  // old one left behind.
+  static uint64_t NextEpoch();
+
+  IpcReply Dispatch(ProcessId caller, const Port& port, const IpcMessage& message);
   // The post-interposition syscall dispatch — split from Invoke so the
   // reply-direction interceptor chain runs over every branch's result.
   // Direct-indexed: kSyscallTable[call] is a member-function pointer, the
@@ -424,6 +441,12 @@ class Kernel {
   std::vector<Interposition> interpositions_;
   std::atomic<size_t> interpose_count_{0};
 
+  // Snapshot-memo epochs (see the class comment): port_epoch_ changes with
+  // every port-table write, interpose_epoch_ with every interposition
+  // write, each stored inside the writer's critical section.
+  std::atomic<uint64_t> port_epoch_{NextEpoch()};
+  std::atomic<uint64_t> interpose_epoch_{NextEpoch()};
+
   // Serializes the kernel's own scheduler calls (kill, yield).
   std::mutex sched_mu_;
 
@@ -458,9 +481,10 @@ class Kernel {
   std::atomic<PortId> fs_port_{0};
   std::function<uint64_t()> time_source_;
 
-  // Metrics plane ("kernel.*"): hot-path counters are always-on relaxed
-  // increments; the latency histograms record only on traced calls (the
-  // flight recorder's toggle gates the expensive part of observability).
+  // Metrics plane ("kernel.*"): hot-path counters are always-on
+  // per-thread-cell increments; the latency histograms record only on
+  // traced calls (the flight recorder's toggle gates the expensive part of
+  // observability).
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "kernel"};
   metrics::Counter* calls_ = metrics_.NewCounter("calls");
   metrics::Counter* syscalls_ = metrics_.NewCounter("syscalls");

@@ -1,20 +1,22 @@
 #include "kernel/payload.h"
 
 #include <algorithm>
-#include <atomic>
+
+#include "util/metrics.h"
 
 namespace nexus::kernel {
 
 namespace {
 
-// Process-wide audit counter for the zero-copy data-plane assertion.
-std::atomic<uint64_t> payload_copies{0};
+// Process-wide audit counter for the zero-copy data-plane assertion
+// (per-thread cells, like the metrics plane's counters).
+constinit metrics::Counter payload_copies;
 
-void CountCopy() { payload_copies.fetch_add(1, std::memory_order_relaxed); }
+void CountCopy() { payload_copies.Increment(); }
 
 }  // namespace
 
-uint64_t IpcPayloadCopyCount() { return payload_copies.load(); }
+uint64_t IpcPayloadCopyCount() { return payload_copies.Value(); }
 
 Payload::Payload(Bytes&& bytes) {
   if (!bytes.empty()) {

@@ -106,13 +106,26 @@ std::unique_ptr<core::VouchFuture> QuorumAuthority::VouchBatchAsync(
   std::vector<std::pair<size_t, std::unique_ptr<core::DetailedVouchFuture>>> futures;
   futures.reserve(members_.size());
   uint64_t now = transport_->now_us();
+  std::vector<bool> sidelined(members_.size(), false);
+  size_t eligible = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < members_.size(); ++i) {
+      sidelined[i] = member_state_[i].backoff_until_us > now;
+      eligible += sidelined[i] ? 0 : 1;
+    }
+  }
+  // Half-open round: with EVERY member sidelined, skipping them would put
+  // nothing on the wire, so the simulated clock that ends their backoff
+  // would never advance and every later statement would be denied. Probe
+  // them all instead; a responsive answer reinstates the member. (With at
+  // least one eligible member the round still moves the clock, and the
+  // sidelined ones rejoin when their window passes.)
+  bool half_open = eligible == 0;
   for (size_t i = 0; i < members_.size(); ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (member_state_[i].backoff_until_us > now) {
-        stats_.members_skipped->Increment();
-        continue;  // Sidelined; it rejoins when the window passes.
-      }
+    if (sidelined[i] && !half_open) {
+      stats_.members_skipped->Increment();
+      continue;  // Sidelined; it rejoins when the window passes.
     }
     stats_.member_rounds->Increment();
     futures.emplace_back(i, members_[i]->VouchBatchAsyncDetailed(statements, timeout_us));

@@ -19,7 +19,10 @@
 // consecutive times is sidelined for `backoff_us` of simulated time —
 // queries during the window skip it entirely (no wasted wire traffic, no
 // per-query timeout stall on a dead peer). Any responsive answer resets
-// the member.
+// the member. When no member is eligible the round is half-open: every
+// sidelined member is probed, so an authority whose members all timed out
+// once recovers as soon as the links heal instead of denying forever on a
+// clock that nothing advances.
 #ifndef NEXUS_NET_MESH_QUORUM_H_
 #define NEXUS_NET_MESH_QUORUM_H_
 

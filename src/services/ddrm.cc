@@ -54,10 +54,34 @@ bool DeviceDriverMonitor::Evaluate(const kernel::IpcMessage& message) {
   return true;
 }
 
+bool DeviceDriverMonitor::MemoizedVerdict(const MemoKey& key,
+                                          const kernel::IpcMessage& message) {
+  if (const MemoTable* table = decision_memo_.load(std::memory_order_acquire)) {
+    auto it = table->find(key);
+    if (it != table->end()) {
+      return it->second;
+    }
+  }
+  // Miss: the verdict is a pure function of the key and the immutable
+  // policy, so evaluating outside the lock is safe; only publication is
+  // serialized.
+  bool allowed = Evaluate(message);
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  const MemoTable* current = decision_memo_.load(std::memory_order_relaxed);
+  size_t size = current == nullptr ? 0 : current->size();
+  if (size < kMaxMemoEntries && (current == nullptr || !current->contains(key))) {
+    auto next = current == nullptr ? std::make_unique<MemoTable>()
+                                   : std::make_unique<MemoTable>(*current);
+    next->emplace(key, allowed);
+    decision_memo_.store(next.get(), std::memory_order_release);
+    memo_versions_.push_back(std::move(next));
+  }
+  return allowed;
+}
+
 kernel::InterposeVerdict DeviceDriverMonitor::OnCall(const kernel::IpcContext& context,
                                                      kernel::IpcMessage& message) {
   (void)context;
-  bool allowed;
   // Only memoize calls the integer key can represent faithfully: a
   // resolved op, and — for ipc_send — a parseable target. Everything else
   // (unresolved legacy ops reaching OnCall directly, garbage targets)
@@ -73,17 +97,7 @@ kernel::InterposeVerdict DeviceDriverMonitor::OnCall(const kernel::IpcContext& c
       memoizable = false;
     }
   }
-  if (memoizable) {
-    auto it = decision_memo_.find(key);
-    if (it != decision_memo_.end()) {
-      allowed = it->second;
-    } else {
-      allowed = Evaluate(message);
-      decision_memo_[key] = allowed;
-    }
-  } else {
-    allowed = Evaluate(message);
-  }
+  bool allowed = memoizable ? MemoizedVerdict(key, message) : Evaluate(message);
   if (allowed) {
     stats_.allowed->Increment();
     return kernel::InterposeVerdict::kAllow;

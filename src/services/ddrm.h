@@ -10,10 +10,14 @@
 #ifndef NEXUS_SERVICES_DDRM_H_
 #define NEXUS_SERVICES_DDRM_H_
 
+#include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/engine.h"
 #include "kernel/kernel.h"
@@ -64,9 +68,22 @@ class DeviceDriverMonitor : public kernel::Interceptor {
   // shape discriminator keeps a no-arg ipc_send distinct from "port 0",
   // and calls the memo cannot key faithfully (unresolved legacy ops,
   // unparseable targets) are simply not memoized.
+  //
+  // Concurrent callers share one monitor, so the memo is an immutable
+  // table behind an atomic pointer: a hit is one acquire load and a lookup
+  // in a table nobody writes; a miss copies the table plus the new verdict
+  // under memo_mu_ and publishes the copy. Superseded tables stay owned by
+  // memo_versions_ (a caller may still be reading one) until the monitor
+  // dies, and the memo stops growing at kMaxMemoEntries keys — past that,
+  // calls evaluate fresh — so the versions stay bounded.
   enum class MemoShape : uint8_t { kPlain, kTarget };
   using MemoKey = std::tuple<kernel::OpId, MemoShape, uint64_t>;
-  std::map<MemoKey, bool> decision_memo_;
+  using MemoTable = std::map<MemoKey, bool>;
+  static constexpr size_t kMaxMemoEntries = 64;
+  bool MemoizedVerdict(const MemoKey& key, const kernel::IpcMessage& message);
+  std::atomic<const MemoTable*> decision_memo_{nullptr};
+  std::mutex memo_mu_;
+  std::vector<std::unique_ptr<const MemoTable>> memo_versions_;
   // The uncached path evaluates the policy as the paper's monitors do: a
   // NAL proof check of `Policy says allows(<op>)` against the policy's
   // labels. Pre-built at construction.

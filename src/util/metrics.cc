@@ -4,8 +4,58 @@
 #include <cstdlib>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace nexus::metrics {
+
+namespace internal {
+
+namespace {
+
+std::mutex& SlotMutex() {
+  static std::mutex* mu = new std::mutex();  // Leaked: see Registry::Global.
+  return *mu;
+}
+
+std::vector<bool>& SlotsInUse() {
+  static std::vector<bool>* slots = new std::vector<bool>();
+  return *slots;
+}
+
+// Hands the thread's slot back at thread exit, so a later thread reuses it
+// and live threads keep distinct cells. this_thread_cell stays set: a
+// counter bumped by a later thread_local destructor still lands in a cell.
+struct SlotRelease {
+  uint32_t slot = kNoCell;
+  ~SlotRelease() {
+    if (slot != kNoCell) {
+      std::lock_guard<std::mutex> lock(SlotMutex());
+      SlotsInUse()[slot] = false;
+    }
+  }
+};
+
+thread_local SlotRelease slot_release;
+
+}  // namespace
+
+uint32_t ClaimCell() {
+  std::lock_guard<std::mutex> lock(SlotMutex());
+  std::vector<bool>& slots = SlotsInUse();
+  uint32_t slot = 0;
+  while (slot < slots.size() && slots[slot]) {
+    ++slot;
+  }
+  if (slot == slots.size()) {
+    slots.push_back(false);
+  }
+  slots[slot] = true;
+  slot_release.slot = slot;
+  this_thread_cell = slot;
+  return slot;
+}
+
+}  // namespace internal
 
 void InstrumentValue::MergeFrom(const InstrumentValue& other) {
   value += other.value;

@@ -1,12 +1,13 @@
 // The kernel-wide metrics plane.
 //
-// Named lock-free instruments cheap enough for the authorization hot path:
-// counters and gauges are single relaxed atomics, histograms are log2-
-// bucketed tallies fed cycle counts from util/cycles.h. Components own
-// their instruments through a MetricGroup (so per-instance semantics — a
-// fresh Guard starts its counters at zero — are preserved exactly), and
-// every group registers with a process-global Registry whose snapshot
-// aggregates same-named instruments across instances.
+// Named instruments cheap enough for the authorization hot path: counters
+// are per-thread cells summed on read, gauges are single relaxed atomics,
+// histograms are log2-bucketed tallies fed cycle counts from
+// util/cycles.h. Components own their instruments through a MetricGroup
+// (so per-instance semantics — a fresh Guard starts its counters at zero —
+// are preserved exactly), and every group registers with a process-global
+// Registry whose snapshot aggregates same-named instruments across
+// instances.
 //
 // Lifetime: instruments live inside their MetricGroup (deque-backed, so
 // pointers handed to the owning component stay stable). When a group is
@@ -15,13 +16,15 @@
 // snapshot (the bench JSON dump, /stats reads after component churn) still
 // reports everything that ever happened.
 //
-// Threading: Increment/Set/Record are wait-free relaxed atomics — they
-// never synchronize data, only tally. Snapshot/Render take the registry
+// Threading: Increment/Set/Record never synchronize data, only tally. A
+// Counter increment writes only the calling thread's own cache-line cell,
+// so a hot counter bumped from every core (kernel.calls, cache.hits) is no
+// longer one line bouncing between them. Snapshot/Render take the registry
 // mutex, then each group's mutex (always in that order; group
 // construction/destruction takes the registry mutex without holding its
-// own). Counter reads in a snapshot are relaxed loads: a snapshot racing
-// live increments sees a value each instrument actually passed through,
-// never a torn one.
+// own). Reads in a snapshot are relaxed loads: a snapshot racing live
+// increments sees, per cell, a value the cell actually passed through, and
+// a quiescent counter reads exactly the sum of its increments.
 #ifndef NEXUS_UTIL_METRICS_H_
 #define NEXUS_UTIL_METRICS_H_
 
@@ -38,13 +41,48 @@
 
 namespace nexus::metrics {
 
+namespace internal {
+
+inline constexpr uint32_t kNoCell = ~uint32_t{0};
+// The calling thread's counter slot (its cell is slot % Counter::kCells),
+// or kNoCell before its first increment. Constant-initialized, so reading
+// it is a plain TLS load.
+inline constinit thread_local uint32_t this_thread_cell = kNoCell;
+// Slow path of CellIndex: claims the lowest slot no live thread holds
+// (released again at thread exit) and caches it in this_thread_cell.
+uint32_t ClaimCell();
+
+inline uint32_t CellIndex() {
+  uint32_t cell = this_thread_cell;
+  return cell != kNoCell ? cell : ClaimCell();
+}
+
+}  // namespace internal
+
+// A monotonic tally split into cache-line-padded per-thread cells. Up to
+// kCells live threads each own a cell outright; more threads share cells
+// (slot modulo kCells), which the atomic add keeps exact. Value() sums the
+// cells, so reads cost kCells loads and increments cost no shared write.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  static constexpr size_t kCells = 8;
+
+  void Increment(uint64_t delta = 1) {
+    cells_[internal::CellIndex() % kCells].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+  uint64_t Value() const {
+    uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  Cell cells_[kCells];
 };
 
 class Gauge {

@@ -515,6 +515,50 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
   EXPECT_EQ(quorum.stats().vouched - base.vouched, 1u);
 }
 
+TEST(QuorumAuthorityTest, AllMembersSidelinedProbesHalfOpenAndRecoversOnHeal) {
+  // Regression: once every member timed out, a round that skipped all the
+  // sidelined members put nothing on the wire, the simulated clock that
+  // ends their backoff never moved, and every later statement was denied
+  // as a timeout forever.
+  QuorumWorld w(3);
+  w.ConnectAll();
+  QuorumPolicy policy;
+  policy.quorum = 2;
+  policy.failures_before_backoff = 1;
+  policy.backoff_us = 200000;
+  QuorumAuthority quorum(&w.transport, policy);
+  for (auto& remote : w.remotes) {
+    quorum.AddMember(remote.get());
+  }
+  nal::Formula statement = F("Session says sessionActive(alice)");
+  for (size_t i = 1; i <= 3; ++i) {
+    w.transport.SetLink("client", QuorumWorld::Name(i),
+                        LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 1.0});
+  }
+  QuorumAuthority::Stats base = quorum.stats();
+  EXPECT_FALSE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_EQ(quorum.stats().denied_timeout - base.denied_timeout, 1u);
+
+  // Heal every link WITHOUT advancing the clock: all three members are
+  // still inside their backoff window, so only a half-open probe can reach
+  // them.
+  for (size_t i = 1; i <= 3; ++i) {
+    w.transport.SetLink("client", QuorumWorld::Name(i),
+                        LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 0.0});
+  }
+  base = quorum.stats();
+  EXPECT_TRUE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_EQ(quorum.stats().vouched - base.vouched, 1u);
+  EXPECT_EQ(quorum.stats().member_rounds - base.member_rounds, 3u);
+  EXPECT_EQ(quorum.stats().members_skipped - base.members_skipped, 0u);
+
+  // The responsive answers reinstated the members: the next round is an
+  // ordinary one.
+  base = quorum.stats();
+  EXPECT_TRUE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_EQ(quorum.stats().members_skipped - base.members_skipped, 0u);
+}
+
 // --------------------------------------------- auditor + workload coupling
 
 TEST(MeshAuditTest, StaleRemoteVerdictInjectionIsFlaggedByTheAuditor) {

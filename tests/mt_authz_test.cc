@@ -11,16 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/nexus.h"
+#include "kernel/payload.h"
 #include "kernel/trace.h"
 #include "nal/interner.h"
 #include "nal/parser.h"
 #include "net/node.h"
 #include "net/remote_authority.h"
 #include "net/transport.h"
+#include "services/ddrm.h"
 
 namespace nexus::core {
 namespace {
@@ -540,6 +543,328 @@ TEST(MtAuthzStressTest, ConcurrentTracedAuthorizeKeepsChainsSeparate) {
   }
   EXPECT_FALSE(chain_subject.empty());
   recorder.Clear();
+}
+
+// ------------------------------------------- the shared-line-free hot path
+//
+// A cached guarded Call writes no cache line other threads share: counters
+// are per-thread cells, a decision-cache hit is a seqlock read, and the
+// port and interceptor-chain snapshots come from per-thread memos
+// validated by an epoch. The tests below pin that none of this loses an
+// increment, serves a retired verdict, or serves a stale snapshot.
+
+TEST(MtAuthzStressTest, SeqlockLookupNeverHitsATupleRetiredBeforeItStarted) {
+  // Small geometry so the retiring writer and the noise writers keep
+  // landing in the shards and subregions the readers probe.
+  kernel::DecisionCache::Config config;
+  config.num_subregions = 4;
+  config.entries_per_subregion = 16;
+  config.num_shards = 2;
+  kernel::DecisionCache cache(config);
+  kernel::OpId op = kernel::InternOp("seqlock_use");
+  std::vector<kernel::ObjectId> objects;
+  for (int o = 0; o < 4; ++o) {
+    objects.push_back(kernel::InternObject("seqlock_obj" + std::to_string(o)));
+  }
+  constexpr int kRounds = 20000;
+  constexpr kernel::ProcessId kRetiredBase = kernel::ProcessId{1} << 32;
+  constexpr kernel::ProcessId kNoiseSubjects = 64;
+  // Round r inserts its own tuple (never reinserted later), retires it by
+  // one of the three invalidation paths, then publishes r. Clear and the
+  // subregion broadcast are rarer, so noise entries live long enough to
+  // be hit.
+  auto retired_tuple = [&](int r) {
+    return kernel::AuthzRequest{kRetiredBase + static_cast<kernel::ProcessId>(r), op,
+                                objects[r % objects.size()]};
+  };
+  // Noise tuples always carry the same verdict, so a hit with the other
+  // one could only come from a torn read.
+  auto noise_verdict = [](kernel::ProcessId s, size_t o) { return ((s ^ o) & 1) == 0; };
+  std::atomic<int> retired{-1};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> stale_hits{0}, torn_hits{0}, noise_hits{0};
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    // Runs at least kRounds rounds AND until the readers have done real
+    // work, so a slow-starting reader still races the writers.
+    for (int r = 0; r < kRounds || reads.load() < 2 * kRounds; ++r) {
+      kernel::AuthzRequest request = retired_tuple(r);
+      cache.Insert(request, true);
+      if (r % 64 == 63) {
+        cache.Clear();
+      } else if (r % 8 == 7) {
+        cache.InvalidateSubregion(request.op, request.obj);
+      } else {
+        cache.InvalidateEntry(request);
+      }
+      retired.store(r, std::memory_order_release);
+    }
+    done.store(true);
+  });
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      while (!done.load()) {
+        kernel::ProcessId s = 1 + rng.NextBelow(kNoiseSubjects);
+        size_t o = rng.NextBelow(objects.size());
+        cache.Insert(kernel::AuthzRequest{s, op, objects[o]}, noise_verdict(s, o));
+      }
+    });
+  }
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&, reader] {
+      Rng rng(200 + reader);
+      while (!done.load()) {
+        int r = retired.load(std::memory_order_acquire);
+        if (r >= 0 && cache.Lookup(retired_tuple(r)).has_value()) {
+          ++stale_hits;
+        }
+        kernel::ProcessId s = 1 + rng.NextBelow(kNoiseSubjects);
+        size_t o = rng.NextBelow(objects.size());
+        std::optional<bool> cached = cache.Lookup(kernel::AuthzRequest{s, op, objects[o]});
+        if (cached.has_value()) {
+          ++noise_hits;
+          if (*cached != noise_verdict(s, o)) {
+            ++torn_hits;
+          }
+        }
+        ++reads;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(stale_hits.load(), 0u);
+  EXPECT_EQ(torn_hits.load(), 0u);
+  EXPECT_GT(noise_hits.load(), 0u);
+}
+
+class ValueHandler : public kernel::PortHandler {
+ public:
+  explicit ValueHandler(uint64_t value) : value_(value) {}
+  kernel::IpcReply Handle(const kernel::IpcContext& context,
+                          const kernel::IpcMessage& message) override {
+    (void)context;
+    (void)message;
+    kernel::IpcReply reply = kernel::IpcReply::Ok();
+    reply.AddU64(value_);
+    return reply;
+  }
+
+ private:
+  uint64_t value_;
+};
+
+class DenyAllInterceptor : public kernel::Interceptor {
+ public:
+  kernel::InterposeVerdict OnCall(const kernel::IpcContext& context,
+                                  kernel::IpcMessage& message) override {
+    (void)context;
+    (void)message;
+    return kernel::InterposeVerdict::kDeny;
+  }
+};
+
+// The handler value a Call reached, or 1000 + the error code.
+uint64_t CallValue(kernel::Kernel& k, kernel::ProcessId caller, kernel::PortId port) {
+  kernel::IpcReply reply = k.Call(caller, port, kernel::IpcMessage::Of("memo_probe"));
+  if (!reply.status.ok()) {
+    return 1000 + static_cast<uint64_t>(reply.status.code());
+  }
+  Result<uint64_t> value = reply.ArgU64(0);
+  return value.ok() ? *value : 0;
+}
+
+constexpr uint64_t kDeniedValue = 1000 + static_cast<uint64_t>(ErrorCode::kPermissionDenied);
+constexpr uint64_t kNotFoundValue = 1000 + static_cast<uint64_t>(ErrorCode::kNotFound);
+
+TEST(MtAuthzStressTest, SnapshotMemosSeeEveryWriteOnTheNextCall) {
+  kernel::Kernel k;
+  kernel::ProcessId server = *k.CreateProcess("memo_server", ToBytes("s"));
+  kernel::PortId port = *k.CreatePort(server);
+  ValueHandler one(1), two(2);
+  DenyAllInterceptor deny;
+  ASSERT_TRUE(k.BindHandler(port, &one).ok());
+  // Every step calls twice: the second call is served from the warm memo.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(k, server, port), 1u);
+  }
+  uint64_t token = *k.Interpose(server, port, &deny);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(k, server, port), kDeniedValue);
+  }
+  ASSERT_TRUE(k.RemoveInterposition(token).ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(k, server, port), 1u);
+  }
+  ASSERT_TRUE(k.BindHandler(port, &two).ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(k, server, port), 2u);
+  }
+  ASSERT_TRUE(k.DestroyPort(port).ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(k, server, port), kNotFoundValue);
+  }
+}
+
+TEST(MtAuthzStressTest, SnapshotMemosSeeWritesPublishedByAnotherThread) {
+  kernel::Kernel k;
+  kernel::ProcessId server = *k.CreateProcess("memo_server", ToBytes("s"));
+  kernel::PortId port = *k.CreatePort(server);
+  ValueHandler one(1), two(2);
+  DenyAllInterceptor deny;
+  ASSERT_TRUE(k.BindHandler(port, &one).ok());
+  uint64_t token = *k.Interpose(server, port, &deny);
+
+  // Each phase: the main thread makes one write and publishes the phase;
+  // every worker, having warmed its memo under the previous phase, must
+  // see the write on its very next call.
+  const uint64_t expected[] = {kDeniedValue, 1u, 2u, kNotFoundValue};
+  constexpr int kWorkers = 4;
+  std::atomic<int> phase{0};
+  std::atomic<int> warmed{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&] {
+      for (int p = 0; p < 4; ++p) {
+        while (phase.load(std::memory_order_acquire) < p) {
+          std::this_thread::yield();
+        }
+        for (int i = 0; i < 50; ++i) {
+          if (CallValue(k, server, port) != expected[p]) {
+            ++wrong;
+          }
+        }
+        warmed.fetch_add(1);
+      }
+    });
+  }
+  auto finish_phase = [&](int p) {
+    while (warmed.load() < kWorkers * (p + 1)) {
+      std::this_thread::yield();
+    }
+  };
+  finish_phase(0);
+  EXPECT_TRUE(k.RemoveInterposition(token).ok());
+  phase.store(1, std::memory_order_release);
+  finish_phase(1);
+  EXPECT_TRUE(k.BindHandler(port, &two).ok());
+  phase.store(2, std::memory_order_release);
+  finish_phase(2);
+  EXPECT_TRUE(k.DestroyPort(port).ok());
+  phase.store(3, std::memory_order_release);
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+TEST(MtAuthzStressTest, RebuiltKernelAtTheSameAddressNeverServesAStaleMemo) {
+  ValueHandler one(1), two(2);
+  DenyAllInterceptor deny;
+  std::optional<kernel::Kernel> k;
+  k.emplace();
+  const kernel::Kernel* address = &*k;
+  kernel::ProcessId server = *k->CreateProcess("memo_server", ToBytes("s"));
+  kernel::PortId port = *k->CreatePort(server);
+  ASSERT_TRUE(k->BindHandler(port, &one).ok());
+  ASSERT_TRUE(k->Interpose(server, port, &deny).ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(*k, server, port), kDeniedValue);  // Memos warm.
+  }
+
+  // Same storage, same first dynamic port id, same pid sequence: only the
+  // epochs tell the two kernels' memo entries apart.
+  k.reset();
+  k.emplace();
+  ASSERT_EQ(&*k, address);
+  kernel::ProcessId server2 = *k->CreateProcess("memo_server", ToBytes("s"));
+  kernel::PortId port2 = *k->CreatePort(server2);
+  ASSERT_EQ(server2, server);
+  ASSERT_EQ(port2, port);
+  ASSERT_TRUE(k->BindHandler(port2, &two).ok());
+  // An interposition elsewhere keeps the chain memo in play for port2.
+  kernel::PortId other = *k->CreatePort(server2);
+  ASSERT_TRUE(k->Interpose(server2, other, &deny).ok());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(CallValue(*k, server2, port2), 2u);
+  }
+}
+
+TEST(MtAuthzStressTest, MemoizingDdrmUnderConcurrentCallersMatchesUncachedVerdicts) {
+  services::DdrmPolicy policy;
+  policy.allowed_operations = {"send", "ipc_send", "read_page"};
+  policy.allowed_ipc_targets = {7, 9};
+  services::DeviceDriverMonitor cached(policy, /*cache_decisions=*/true);
+  services::DeviceDriverMonitor uncached(policy, /*cache_decisions=*/false);
+  // More distinct call shapes than the memo keeps, so the capped table and
+  // the evaluate-fresh overflow path both run concurrently.
+  std::vector<kernel::IpcMessage> messages = {
+      kernel::IpcMessage::Of("send"), kernel::IpcMessage::Of("recv"),
+      kernel::IpcMessage::Of("read_page"), kernel::IpcMessage::Of("ipc_send")};
+  for (kernel::PortId target = 0; target < 120; ++target) {
+    kernel::IpcMessage message = kernel::IpcMessage::Of("ipc_send");
+    message.AddPort(target);
+    messages.push_back(message);
+  }
+  kernel::IpcContext context;
+  std::vector<kernel::InterposeVerdict> expected;
+  for (const kernel::IpcMessage& message : messages) {
+    kernel::IpcMessage copy = message;
+    expected.push_back(uncached.OnCall(context, copy));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 20;
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (size_t j = 0; j < messages.size(); ++j) {
+          // Each thread walks the shapes from its own offset, so first
+          // sightings (memo misses) race across threads.
+          size_t i = (j + static_cast<size_t>(t) * 31) % messages.size();
+          kernel::IpcMessage copy = messages[i];
+          if (cached.OnCall(context, copy) != expected[i]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  services::DeviceDriverMonitor::Stats stats = cached.stats();
+  EXPECT_EQ(stats.allowed + stats.denied, kThreads * kPasses * messages.size());
+}
+
+TEST(MtAuthzStressTest, ProcessWideAuditTalliesAreExactAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kCopies = 2000;
+  const Bytes bytes = ToBytes("payload");
+  uint64_t copies_before = kernel::IpcPayloadCopyCount();
+  uint64_t text_before = kernel::IpcTextPayloadCount();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kCopies; ++i) {
+        kernel::Payload copy(bytes);
+        kernel::IpcMessage message = kernel::IpcMessage::Of("tally");
+        message.AddString("text");
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(kernel::IpcPayloadCopyCount() - copies_before, kThreads * kCopies);
+  EXPECT_EQ(kernel::IpcTextPayloadCount() - text_before, kThreads * kCopies);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "util/bytes.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -285,6 +291,101 @@ TEST(MetricsTest, ApproxQuantileWalksBuckets) {
   metrics::InstrumentValue v = registry.TakeSnapshot().at("q.h");
   EXPECT_EQ(v.ApproxQuantile(0.5), 3u);
   EXPECT_GT(v.ApproxQuantile(0.99), 1u << 19);
+}
+
+// Counters are per-thread cells summed on read; these pin that the split
+// never loses an increment — live, in a snapshot racing the writers, and
+// after the owning group retires. (ThreadSanitizer target in CI.)
+TEST(MetricsTest, CounterCellsAreExactUnderConcurrentIncrements) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kIncrements = 200000;
+  metrics::Registry registry;
+  auto group = std::make_unique<metrics::MetricGroup>(&registry, "mt");
+  metrics::Counter* counter = group->NewCounter("hits");
+  std::atomic<bool> done{false};
+  // A reader snapshotting throughout: every value it sees is a sum of
+  // per-cell values, so it can only grow.
+  std::thread reader([&] {
+    int64_t last = 0;
+    while (!done.load()) {
+      int64_t now = registry.TakeSnapshot("mt").at("mt.hits").value;
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        counter->Increment();
+      }
+    });
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(counter->Value(), kThreads * kIncrements);
+  EXPECT_EQ(registry.TakeSnapshot().at("mt.hits").value,
+            static_cast<int64_t>(kThreads * kIncrements));
+  group.reset();  // Retire: the total moves into the registry intact.
+  EXPECT_EQ(registry.TakeSnapshot().at("mt.hits").value,
+            static_cast<int64_t>(kThreads * kIncrements));
+}
+
+TEST(MetricsTest, CounterStaysExactWithMoreThreadsThanCells) {
+  // Threads past Counter::kCells share cells; the atomic add keeps the sum
+  // exact anyway.
+  constexpr int kThreads = static_cast<int>(metrics::Counter::kCells) + 4;
+  constexpr uint64_t kIncrements = 20000;
+  metrics::Counter counter;
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      // All threads live at once, so the slots really do overflow.
+      started.fetch_add(1);
+      while (started.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        counter.Increment(2);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter.Value(), 2 * kThreads * kIncrements);
+}
+
+TEST(MetricsTest, LiveThreadsOwnDistinctCellsAndExitedSlotsAreReused) {
+  constexpr int kThreads = 4;
+  std::vector<uint32_t> cells(kThreads);
+  std::atomic<int> claimed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      cells[t] = metrics::internal::CellIndex() % metrics::Counter::kCells;
+      // Stay alive until every thread has its slot: slots are only
+      // recycled at thread exit.
+      claimed.fetch_add(1);
+      while (claimed.load() < kThreads) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::set<uint32_t> distinct(cells.begin(), cells.end());
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads));
+  // The four slots were released at exit: a new thread takes one of them
+  // back instead of growing the slot table.
+  uint32_t reused = 0;
+  std::thread([&] { reused = metrics::internal::CellIndex() % metrics::Counter::kCells; }).join();
+  EXPECT_TRUE(distinct.contains(reused));
 }
 
 }  // namespace
