@@ -329,6 +329,11 @@ LabelHandle Engine::SayAs(const nal::Principal& speaker, const nal::Formula& sta
   return system_store_.Insert(speaker, statement);
 }
 
+Status Engine::DeleteSystemLabel(LabelHandle handle) {
+  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  return system_store_.Delete(handle);
+}
+
 void Engine::AddObjectLabel(kernel::ObjectId object, const nal::Formula& label) {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   object_labels_[object].push_back(label);

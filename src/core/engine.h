@@ -102,8 +102,11 @@ class Engine : public kernel::AuthorizationEngine {
   Result<LabelHandle> Say(kernel::ProcessId speaker, const std::string& statement_text);
   Result<LabelHandle> SayFormula(kernel::ProcessId speaker, const nal::Formula& statement);
   // System-issued labels (kernel bindings, service attestations). These
-  // live in the system labelstore visible to every guard evaluation.
+  // live in the system labelstore visible to every guard evaluation;
+  // DeleteSystemLabel retracts one (Nexus::KillProcess, for a dead
+  // process's launchHash).
   LabelHandle SayAs(const nal::Principal& speaker, const nal::Formula& statement);
+  Status DeleteSystemLabel(LabelHandle handle);
   LabelStore& StoreFor(kernel::ProcessId pid) {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     return stores_[pid];

@@ -98,11 +98,28 @@ Result<kernel::ProcessId> Nexus::CreateProcess(const std::string& name, ByteView
   nal::Principal nexus = kernel_.KernelPrincipal();
   // Nexus says launchHash(/proc/ipd/<pid>, "<hex>").
   const crypto::Sha256Digest hash = crypto::Sha256::Hash(binary);
-  engine_.SayAs(nexus,
-                nal::FormulaNode::Pred(
-                    "launchHash", {nal::Term::Symbol(kernel::Kernel::ProcPath(*pid)),
-                                   nal::Term::String(HexEncode(ByteView(hash.data(), hash.size())))}));
+  LabelHandle label = engine_.SayAs(
+      nexus, nal::FormulaNode::Pred(
+                 "launchHash", {nal::Term::Symbol(kernel::Kernel::ProcPath(*pid)),
+                                nal::Term::String(HexEncode(ByteView(hash.data(), hash.size())))}));
+  std::lock_guard<std::mutex> lock(launch_labels_mu_);
+  launch_labels_[*pid] = label;
   return pid;
+}
+
+Status Nexus::KillProcess(kernel::ProcessId pid) {
+  NEXUS_RETURN_IF_ERROR(kernel_.KillProcess(pid));
+  LabelHandle label = 0;
+  {
+    std::lock_guard<std::mutex> lock(launch_labels_mu_);
+    auto it = launch_labels_.find(pid);
+    if (it == launch_labels_.end()) {
+      return OkStatus();  // Created through the bare kernel: no label.
+    }
+    label = it->second;
+    launch_labels_.erase(it);
+  }
+  return engine_.DeleteSystemLabel(label);
 }
 
 Result<kernel::PortId> Nexus::CreatePort(kernel::ProcessId owner) {

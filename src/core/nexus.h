@@ -14,7 +14,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "core/certificate.h"
@@ -57,6 +59,10 @@ class Nexus {
   //   Nexus says launchHash(/proc/ipd/<pid>, "<sha256>")
   Result<kernel::ProcessId> CreateProcess(const std::string& name, ByteView binary,
                                           kernel::ProcessId parent = kernel::kKernelProcessId);
+  // Kills a process through the kernel, then deletes its launchHash label:
+  // every engine miss copies the system labelstore into its credential
+  // set, so it must hold the live processes, not every one ever created.
+  Status KillProcess(kernel::ProcessId pid);
 
   // Creates a port owned by `owner` and deposits the kernel binding label
   //   Nexus says IPC.<port> speaksfor Nexus.ipd.<owner>   (§2.4).
@@ -115,6 +121,10 @@ class Nexus {
   Engine engine_;
   std::unique_ptr<kernel::FileServer> fs_;
   kernel::PortId fs_port_ = 0;
+
+  // pid -> the launchHash label CreateProcess deposited for it.
+  std::mutex launch_labels_mu_;
+  std::unordered_map<kernel::ProcessId, LabelHandle> launch_labels_;
 
   std::map<std::string, crypto::RsaPublicKey> peers_;
   // (pid, certificate digest) -> handle of the already-imported label.

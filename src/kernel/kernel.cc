@@ -472,11 +472,15 @@ Status Kernel::ResolveLegacy(ProcessId caller, IpcMessage& message) {
 
 namespace {
 
-// One kCall provenance event per completed (or monitor-blocked) Call.
-// No-op on untraced calls; no cycle read on traced ones (Call is the fig7
-// hot path — latency histograms are fed from Invoke and the miss path).
-void EmitCallEvent(const TraceScope& trace, ProcessId caller, OpId op, PortId port,
-                   uint16_t flags, uint8_t verdict) {
+// One provenance event of the IPC pipeline: kCall per completed (or
+// monitor-blocked) message, kReplyInterpose per reply-direction chain
+// traversal. The latter's PRESENCE is the audited invariant: a completed
+// interposed call whose chain lacks it returned a reply the monitors never
+// saw. No-op on untraced calls; no cycle read on traced ones (Call is the
+// fig7 hot path — latency histograms are fed from Invoke and the miss
+// path).
+void EmitIpcEvent(const TraceScope& trace, TraceStage stage, ProcessId caller, OpId op,
+                  PortId port, uint16_t flags, uint8_t verdict) {
   if (!trace.active()) {
     return;
   }
@@ -487,28 +491,18 @@ void EmitCallEvent(const TraceScope& trace, ProcessId caller, OpId op, PortId po
   e.aux = port;
   e.flags = flags;
   e.verdict = verdict;
-  e.stage = TraceStage::kCall;
+  e.stage = stage;
   FlightRecorder::Global().Emit(e);
 }
 
-// One kReplyInterpose event per reply-direction interceptor traversal.
-// Its PRESENCE is the audited invariant: a completed interposed call whose
-// chain lacks this stage returned a reply the monitors never saw.
-void EmitReplyInterposeEvent(const TraceScope& trace, ProcessId caller, OpId op,
-                             PortId port, uint16_t flags, uint8_t verdict) {
-  if (!trace.active()) {
-    return;
-  }
-  TraceEvent e;
-  e.trace_id = trace.id();
-  e.subject = caller;
-  e.op = op;
-  e.aux = port;
-  e.flags = flags;
-  e.verdict = verdict;
-  e.stage = TraceStage::kReplyInterpose;
-  FlightRecorder::Global().Emit(e);
-}
+uint8_t VerdictOf(bool allowed) { return allowed ? kTraceVerdictAllow : kTraceVerdictDeny; }
+
+// CallMany's staging for the general path: the admitted working copies,
+// and their caller slots once the batch stops being dense.
+struct CallScratch {
+  std::vector<IpcMessage> accepted;
+  std::vector<size_t> slot_of;
+};
 
 // Records elapsed cycles into a histogram across every return path of the
 // enclosing function. Pass nullptr to measure nothing (untraced calls pay
@@ -533,112 +527,9 @@ class ScopedCycleHistogram {
 }  // namespace
 
 IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) {
-  // Reserved-port semantics: a call addressed to a syscall port IS that
-  // syscall (SYSCALL_IPCPORT in the real kernel) — pure arithmetic, no
-  // table probe, and ipc_call reaching a syscall port dispatches like the
-  // syscall it names.
-  if (IsSyscallPort(port)) {
-    return Invoke(caller, SyscallOfPort(port), message);
-  }
-  calls_->Increment();
-  // A nested Call (interposed hop, ipc_call, file-syscall forward) adopts
-  // the surrounding trace id, so one logical operation is one trace.
-  TraceScope trace;
-  // ONE port snapshot per call: the dispatch below runs against it.
-  std::optional<Port> snapshot = SnapshotPort(port);
-  if (!snapshot.has_value()) {
-    return IpcReply(NotFound("no such port"));
-  }
-
-  // Wire bounds and forged-id checks hold on BOTH paths below — whether a
-  // message is accepted never depends on a monitor being present — and run
-  // BEFORE any charged legacy resolution, so a message that would be
-  // rejected anyway cannot grow the op table or burn quota.
-  Status bounded = CheckWireBounds(message);
-  if (!bounded.ok()) {
-    return IpcReply(bounded);
-  }
-
-  // Legacy op names resolve (charged) once, up front, so every path below
-  // dispatches an interned id and the hot path stays string-free.
-  const IpcMessage* source = &message;
-  IpcMessage resolved;
-  if (message.needs_op_resolution()) {
-    resolved = message;
-    Status legacy = ResolveLegacy(caller, resolved);
-    if (!legacy.ok()) {
-      return IpcReply(legacy);
-    }
-    source = &resolved;
-  }
-
-  // Newest interceptor first; composition is simply nesting (§3.2). The
-  // chain is snapshotted (memoized per thread) and run with no lock held —
-  // or, when no monitor exists anywhere, skipped on one relaxed load.
-  InterceptorChain chain = SnapshotInterceptors(port);
-
-  if (chain == nullptr) {
-    // No monitor on this port: dispatch by reference, untouched. The reply
-    // bounds check matches the interposed path below, so whether a
-    // server's reply is accepted never depends on a monitor being present.
-    IpcReply reply = Dispatch(caller, *snapshot, *source);
-    if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
-      reply = IpcReply(std::move(reply_bounds));
-    }
-    EmitCallEvent(trace, caller, source->op, port, 0,
-                  reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    return reply;
-  }
-
-  // Structural interposition (§5.1): monitors receive the VALIDATED typed
-  // message itself — one copy, zero marshal/unmarshal round trips, zero
-  // strings — and pattern-match / rewrite slots in place. The wire codec
-  // still exists for buffers that genuinely cross an address space (the
-  // net layer, user-space monitor simulations); in-kernel chains get the
-  // same bounds guarantees from Validate{Reply,}WireBounds alone.
-  const std::vector<Interceptor*>& active = *chain;
-  IpcMessage working = *source;
-  IpcContext context{caller, port};
-  for (Interceptor* interceptor : active) {
-    if (interceptor->OnCall(context, working) == InterposeVerdict::kDeny) {
-      // A blocked call returns earlier than a completed call (Table 1).
-      EmitCallEvent(trace, caller, working.op, port,
-                    kTraceFlagInterposed | kTraceFlagDenied, kTraceVerdictDeny);
-      return IpcReply(PermissionDenied("blocked by reference monitor"));
-    }
-  }
-
-  IpcReply reply = Dispatch(caller, *snapshot, working);
-  if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
-    reply = IpcReply(std::move(reply_bounds));
-  }
-
-  // Reply direction, reverse order (innermost monitor sees the handler's
-  // reply first — unwinding the nesting the call direction established).
-  uint16_t reply_flags = kTraceFlagInterposed;
-  for (auto it = active.rbegin(); it != active.rend(); ++it) {
-    if ((*it)->OnReply(context, working, reply) == InterposeVerdict::kDeny) {
-      reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
-      reply_flags |= kTraceFlagDenied;
-      break;
-    }
-  }
-  EmitReplyInterposeEvent(trace, caller, working.op, port, reply_flags,
-                          reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-  EmitCallEvent(trace, caller, working.op, port, kTraceFlagInterposed,
-                reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
+  IpcReply reply;
+  CallMany(caller, port, std::span<const IpcMessage>(&message, 1), std::span<IpcReply>(&reply, 1));
   return reply;
-}
-
-IpcReply Kernel::Dispatch(ProcessId caller, const Port& port, const IpcMessage& message) {
-  if (port.handler == nullptr) {
-    return IpcReply(Unavailable("no handler bound to port"));
-  }
-  // The handler runs with no kernel lock held. A concurrent DestroyPort
-  // lets this in-flight call complete against the handler captured at
-  // entry (the snapshot carries the port generation for callers that care).
-  IpcContext context{caller, port.id};
-  return port.handler->Handle(context, message);
 }
 
 Kernel::InterceptorChain Kernel::SnapshotInterceptors(PortId port) const {
@@ -676,80 +567,142 @@ size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessag
   if (n == 0) {
     return 0;
   }
-  // ONE trace scope for the batch: every per-message event below shares
-  // this id, so the auditor sees one chain whose kCall events each have a
-  // matching reply-interpose stage — the invariant is per-message even
-  // though the crossing is per-batch.
-  TraceScope trace;
-  size_t ok = 0;
+  messages = messages.first(n);
+  replies = replies.first(n);
+  auto count_ok = [&] {
+    return static_cast<size_t>(std::count_if(replies.begin(), replies.end(),
+                                             [](const IpcReply& r) { return r.status.ok(); }));
+  };
+  // Reserved-port semantics: a call addressed to a syscall port IS that
+  // syscall (SYSCALL_IPCPORT in the real kernel) — pure arithmetic, no
+  // table probe. Each message is its own Invoke (liveness check, trace
+  // root, syscall-port interposition).
   if (IsSyscallPort(port)) {
-    // Syscalls keep their per-message dispatch (liveness check, syscall
-    // trace event, per-call interposition) under the shared trace scope.
     for (size_t i = 0; i < n; ++i) {
       replies[i] = Invoke(caller, SyscallOfPort(port), messages[i]);
-      ok += replies[i].status.ok() ? 1 : 0;
     }
-    return ok;
+    return count_ok();
   }
   calls_->Increment(n);
+  // ONE trace scope per crossing, adopted from the surrounding call when
+  // nested (interposed hop, ipc_call, file-syscall forward): every
+  // per-message event below shares this id, so the auditor sees one chain
+  // whose kCall events each have a matching reply-interpose stage.
+  TraceScope trace;
+  // ONE port snapshot per crossing: the dispatch below runs against it.
   std::optional<Port> snapshot = SnapshotPort(port);
   if (!snapshot.has_value()) {
-    for (size_t i = 0; i < n; ++i) {
-      replies[i] = IpcReply(NotFound("no such port"));
-    }
+    std::fill(replies.begin(), replies.end(), IpcReply(NotFound("no such port")));
     return 0;
   }
+  // Newest interceptor first; composition is simply nesting (§3.2). The
+  // chain is snapshotted (memoized per thread) and run with no lock held —
+  // or, when no monitor exists anywhere, skipped on one relaxed load.
   InterceptorChain chain = SnapshotInterceptors(port);
   const std::vector<Interceptor*>& active = MonitorsOf(chain);
   IpcContext context{caller, port};
+  const uint16_t batched = n > 1 ? kTraceFlagBatched : 0;
+
+  // ONE dispatch of an admitted sub-batch, with no kernel lock held (a
+  // concurrent DestroyPort lets it complete against the handler captured
+  // in the snapshot). A sub-batch of one takes Handle: HandleMany is N
+  // Handles by contract, and one message gains nothing from a server's
+  // batch amortization. Then the reply direction per message: the same
+  // bounds check whether or not a monitor is present, the interceptor
+  // chain in reverse (the innermost monitor sees the handler's reply
+  // first — unwinding the nesting the call direction established), and
+  // the trace stages.
+  auto dispatch = [&](std::span<const IpcMessage> batch, std::span<IpcReply> out) {
+    if (snapshot->handler == nullptr) {
+      std::fill(out.begin(), out.end(), IpcReply(Unavailable("no handler bound to port")));
+    } else if (batch.size() == 1) {
+      out[0] = snapshot->handler->Handle(context, batch[0]);
+    } else if (!batch.empty()) {
+      snapshot->handler->HandleMany(context, batch, out);
+    }
+    for (size_t j = 0; j < batch.size(); ++j) {
+      IpcReply& reply = out[j];
+      if (Status bounds = CheckReplyWireBounds(reply); !bounds.ok()) {
+        reply = IpcReply(std::move(bounds));
+      }
+      uint16_t call_flags = batched;
+      if (!active.empty()) {
+        call_flags |= kTraceFlagInterposed;
+        uint16_t reply_flags = call_flags;
+        for (auto it = active.rbegin(); it != active.rend(); ++it) {
+          if ((*it)->OnReply(context, batch[j], reply) == InterposeVerdict::kDeny) {
+            reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
+            reply_flags |= kTraceFlagDenied;
+            break;
+          }
+        }
+        EmitIpcEvent(trace, TraceStage::kReplyInterpose, caller, batch[j].op, port,
+                     reply_flags, VerdictOf(reply.status.ok()));
+      }
+      EmitIpcEvent(trace, TraceStage::kCall, caller, batch[j].op, port, call_flags,
+                   VerdictOf(reply.status.ok()));
+    }
+  };
 
   // Fast path: no monitors, every message typed and in bounds — the
-  // original span goes straight to the server's HandleMany, zero copies
-  // of any kind.
+  // caller's span is dispatched as is, zero copies of any kind.
   bool fast = active.empty();
   for (size_t i = 0; fast && i < n; ++i) {
     fast = !messages[i].needs_op_resolution() && CheckWireBounds(messages[i]).ok();
   }
   if (fast) {
-    if (snapshot->handler == nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        replies[i] = IpcReply(Unavailable("no handler bound to port"));
-      }
-      return 0;
-    }
-    snapshot->handler->HandleMany(context, messages.first(n), replies.first(n));
-    for (size_t i = 0; i < n; ++i) {
-      if (Status bounds = CheckReplyWireBounds(replies[i]); !bounds.ok()) {
-        replies[i] = IpcReply(std::move(bounds));
-      }
-      EmitCallEvent(trace, caller, messages[i].op, port, kTraceFlagBatched,
-                    replies[i].status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-      ok += replies[i].status.ok() ? 1 : 0;
-    }
-    return ok;
+    dispatch(messages, replies);
+    return count_ok();
   }
 
-  // General path. Per-message admission — wire bounds, charged legacy
-  // resolution, the forward interceptor chain — producing the surviving
-  // sub-batch; working copies cost refcount bumps, not byte copies. The
-  // staging vectors are thread-local scratch: a 256-message batch of
-  // IpcMessages is big enough that a fresh allocation per batch shows up
-  // as page churn at high rates, while reused capacity is free. The
-  // scratch is moved out for the duration of the call (and moved back
-  // after), so a handler that reenters CallMany on this thread simply
+  // General path. Per-message admission — wire bounds and forged-id checks
+  // first (so a message rejected anyway cannot grow the op table or burn
+  // quota), then charged legacy resolution, then the forward interceptor
+  // chain — producing the surviving sub-batch. Monitors receive the
+  // VALIDATED typed message itself (§5.1): one working copy (refcount
+  // bumps, not byte copies), zero marshal round trips, zero strings.
+  auto admit = [&](IpcMessage& working) -> Status {
+    if (working.needs_op_resolution()) {
+      NEXUS_RETURN_IF_ERROR(ResolveLegacy(caller, working));
+    }
+    for (Interceptor* interceptor : active) {
+      if (interceptor->OnCall(context, working) == InterposeVerdict::kDeny) {
+        EmitIpcEvent(trace, TraceStage::kCall, caller, working.op, port,
+                     kTraceFlagInterposed | kTraceFlagDenied | batched, kTraceVerdictDeny);
+        return PermissionDenied("blocked by reference monitor");
+      }
+    }
+    return Status();
+  };
+  // A batch of one stages its working copy on the stack.
+  if (n == 1) {
+    IpcMessage working = messages[0];
+    Status admitted = CheckWireBounds(working);
+    if (admitted.ok()) {
+      admitted = admit(working);
+    }
+    if (admitted.ok()) {
+      dispatch(std::span<const IpcMessage>(&working, 1), replies);
+    } else {
+      replies[0] = IpcReply(std::move(admitted));
+    }
+    return count_ok();
+  }
+  // A larger batch stages in thread-local scratch: a fresh allocation per
+  // batch shows up as page churn at high rates, while reused capacity is
+  // free. The scratch is moved out for the duration of the call (and moved
+  // back after), so a handler that reenters CallMany on this thread simply
   // finds empty scratch and allocates its own.
-  static thread_local std::vector<IpcMessage> accepted_scratch;
-  static thread_local std::vector<size_t> slot_scratch;
-  std::vector<IpcMessage> accepted = std::move(accepted_scratch);
-  std::vector<size_t> slot_of = std::move(slot_scratch);
-  accepted.clear();
-  slot_of.clear();
+  static thread_local CallScratch call_scratch;
+  CallScratch scratch = std::move(call_scratch);
+  std::vector<IpcMessage>& accepted = scratch.accepted;
+  std::vector<size_t>& slot_of = scratch.slot_of;
   accepted.reserve(n);
   // slot_of stays EMPTY while the batch is dense (accepted[j] came from
   // messages[j] — the overwhelmingly common case); the first rejection
   // backfills the identity prefix and it tracks indices from then on.
   bool dense = true;
-  auto note_rejection = [&] {
+  auto reject = [&](size_t i, Status status) {
     if (dense) {
       dense = false;
       slot_of.reserve(n);
@@ -757,100 +710,39 @@ size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessag
         slot_of.push_back(k);
       }
     }
+    replies[i] = IpcReply(std::move(status));
   };
   for (size_t i = 0; i < n; ++i) {
-    Status bounded = CheckWireBounds(messages[i]);
-    if (!bounded.ok()) {
-      note_rejection();
-      replies[i] = IpcReply(std::move(bounded));
+    if (Status bounded = CheckWireBounds(messages[i]); !bounded.ok()) {
+      reject(i, std::move(bounded));
       continue;
     }
-    // The working copy is built in place in the sub-batch (one copy, not
-    // copy-then-move) and discarded from it again if a monitor denies.
-    accepted.push_back(messages[i]);
-    IpcMessage& working = accepted.back();
-    if (working.needs_op_resolution()) {
-      if (Status legacy = ResolveLegacy(caller, working); !legacy.ok()) {
-        accepted.pop_back();
-        note_rejection();
-        replies[i] = IpcReply(std::move(legacy));
-        continue;
-      }
-    }
-    bool denied = false;
-    for (Interceptor* interceptor : active) {
-      if (interceptor->OnCall(context, working) == InterposeVerdict::kDeny) {
-        EmitCallEvent(trace, caller, working.op, port,
-                      kTraceFlagInterposed | kTraceFlagDenied | kTraceFlagBatched,
-                      kTraceVerdictDeny);
-        replies[i] = IpcReply(PermissionDenied("blocked by reference monitor"));
-        denied = true;
-        break;
-      }
-    }
-    if (denied) {
+    // The working copy is built in place in the sub-batch and discarded
+    // from it again if resolution fails or a monitor denies.
+    if (Status admitted = admit(accepted.emplace_back(messages[i])); !admitted.ok()) {
       accepted.pop_back();
-      note_rejection();
+      reject(i, std::move(admitted));
       continue;
     }
     if (!dense) {
       slot_of.push_back(i);
     }
   }
-
-  // ONE dispatch for the surviving sub-batch. In the dense case (every
-  // message admitted — the overwhelmingly common one) the handler writes
-  // straight into the caller's reply span; only a partially-denied batch
-  // pays for a staging vector and a scatter.
-  std::vector<IpcReply> staged(dense ? 0 : accepted.size());
-  std::span<IpcReply> batch_replies =
-      dense ? replies.first(n) : std::span<IpcReply>(staged);
-  if (!accepted.empty()) {
-    if (snapshot->handler == nullptr) {
-      for (IpcReply& reply : batch_replies) {
-        reply = IpcReply(Unavailable("no handler bound to port"));
-      }
-    } else {
-      snapshot->handler->HandleMany(context, std::span<const IpcMessage>(accepted),
-                                    batch_replies);
-    }
-  }
-
-  // Reply direction per message: bounds, reverse interceptor chain, and
-  // the same trace stages a single interposed Call emits.
-  for (size_t j = 0; j < accepted.size(); ++j) {
-    IpcReply& reply = batch_replies[j];
-    if (Status bounds = CheckReplyWireBounds(reply); !bounds.ok()) {
-      reply = IpcReply(std::move(bounds));
-    }
-    uint16_t call_flags = kTraceFlagBatched;
-    if (!active.empty()) {
-      call_flags |= kTraceFlagInterposed;
-      uint16_t reply_flags = kTraceFlagInterposed | kTraceFlagBatched;
-      for (auto it = active.rbegin(); it != active.rend(); ++it) {
-        if ((*it)->OnReply(context, accepted[j], reply) == InterposeVerdict::kDeny) {
-          reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
-          reply_flags |= kTraceFlagDenied;
-          break;
-        }
-      }
-      EmitReplyInterposeEvent(trace, caller, accepted[j].op, port, reply_flags,
-                              reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    }
-    EmitCallEvent(trace, caller, accepted[j].op, port, call_flags,
-                  reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    if (!dense) {
-      replies[slot_of[j]] = std::move(reply);
+  if (dense) {
+    dispatch(accepted, replies);
+  } else {
+    // Only a partially-rejected batch pays for a staging vector and a
+    // scatter; a dense one writes straight into the caller's replies.
+    std::vector<IpcReply> staged(accepted.size());
+    dispatch(accepted, staged);
+    for (size_t j = 0; j < staged.size(); ++j) {
+      replies[slot_of[j]] = std::move(staged[j]);
     }
   }
   accepted.clear();
   slot_of.clear();
-  accepted_scratch = std::move(accepted);
-  slot_scratch = std::move(slot_of);
-  for (size_t i = 0; i < n; ++i) {
-    ok += replies[i].status.ok() ? 1 : 0;
-  }
-  return ok;
+  call_scratch = std::move(scratch);
+  return count_ok();
 }
 
 // ---------------------------------------------------------- Interposition
@@ -927,7 +819,7 @@ IpcReply Kernel::Invoke(ProcessId caller, Syscall call, const IpcMessage& messag
   // inner operation of ipc_call is an ARGUMENT, handled below).
   working.ResolveOp(SyscallOp(call));
   // Wire bounds (incl. slot overflow and forged ids) hold with or without
-  // interposition — see Call. Single enforcement point.
+  // interposition — see CallMany. Single enforcement point.
   Status bounded = CheckWireBounds(working);
   if (!bounded.ok()) {
     return IpcReply(bounded);
@@ -942,7 +834,7 @@ IpcReply Kernel::Invoke(ProcessId caller, Syscall call, const IpcMessage& messag
     FlightRecorder::Global().Emit(e);
   }
   // The syscall channel's interceptor chain, structural in both directions
-  // (see Call): monitors get the validated typed message — no marshal
+  // (see CallMany): monitors get the validated typed message — no marshal
   // round trip, no strings built, hashed, or re-parsed here (§5.1). The
   // channel is the syscall's RESERVED port (one per Syscall, shared by all
   // processes) — its id is a compile-time constant, so attaching costs no
@@ -967,8 +859,8 @@ IpcReply Kernel::Invoke(ProcessId caller, Syscall call, const IpcMessage& messag
         break;
       }
     }
-    EmitReplyInterposeEvent(trace, caller, working.op, sys_context.port, reply_flags,
-                            reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
+    EmitIpcEvent(trace, TraceStage::kReplyInterpose, caller, working.op, sys_context.port,
+                 reply_flags, VerdictOf(reply.status.ok()));
   }
   return reply;
 }
@@ -1105,100 +997,42 @@ IpcReply Kernel::SysIpcCall(ProcessId caller, ProcessId, IpcMessage& working) {
 
 // ---------------------------------------------------------- Authorization
 
+namespace {
+
+// One kCacheProbe or kVerdict provenance event for `request`.
+void EmitDecisionEvent(const TraceScope& trace, TraceStage stage, const AuthzRequest& request,
+                       uint64_t generation, uint16_t flags, uint8_t verdict,
+                       uint32_t latency = 0, uint64_t aux = 0) {
+  if (!trace.active()) {
+    return;
+  }
+  TraceEvent e;
+  e.trace_id = trace.id();
+  e.subject = request.subject;
+  e.op = request.op;
+  e.obj = request.obj;
+  e.generation = generation;
+  e.aux = aux;
+  e.latency = latency;
+  e.flags = flags;
+  e.verdict = verdict;
+  e.stage = stage;
+  FlightRecorder::Global().Emit(e);
+}
+
+// The misses of one pipeline run, staged for the engine upcall.
+struct MissBatch {
+  std::vector<AuthzRequest> requests;  // Carrying the trace id.
+  std::vector<size_t> slots;           // Each miss's index in the caller's span.
+  std::vector<uint64_t> generations;   // Subregion generation before the upcall.
+};
+
+}  // namespace
+
 Status Kernel::Authorize(const AuthzRequest& request) {
-  if (engine_ == nullptr) {
-    return OkStatus();  // Authorization disabled (Fig. 4 case "system call").
-  }
-  authorize_requests_->Increment();
-  // Adopts the syscall/Call trace id when one is active (the usual case:
-  // Authorize runs inside an Invoke); at the root it opens its own trace.
-  TraceScope trace;
-  bool cache_enabled = decision_cache_enabled_.load();
-  if (cache_enabled) {
-    std::optional<bool> cached = decision_cache_.Lookup(request);
-    // The extra Generation() shard lock is paid only on traced calls.
-    uint64_t probe_gen = trace.active() ? decision_cache_.Generation(request) : 0;
-    if (trace.active()) {
-      TraceEvent probe;
-      probe.trace_id = trace.id();
-      probe.subject = request.subject;
-      probe.op = request.op;
-      probe.obj = request.obj;
-      probe.generation = probe_gen;
-      probe.flags = cached.has_value() ? kTraceFlagCacheHit : kTraceFlagCacheMiss;
-      probe.stage = TraceStage::kCacheProbe;
-      FlightRecorder::Global().Emit(probe);
-    }
-    if (cached.has_value()) {
-      if (!*cached) {
-        authorize_denies_->Increment();
-      }
-      if (trace.active()) {
-        TraceEvent verdict;
-        verdict.trace_id = trace.id();
-        verdict.subject = request.subject;
-        verdict.op = request.op;
-        verdict.obj = request.obj;
-        // A hit is valid exactly under the generation the probe observed
-        // (Lookup only returns entries stamped with the current gen).
-        verdict.generation = probe_gen;
-        verdict.flags =
-            kTraceFlagCacheHit | (*cached ? uint16_t{0} : kTraceFlagDenied);
-        verdict.verdict = *cached ? kTraceVerdictAllow : kTraceVerdictDeny;
-        verdict.stage = TraceStage::kVerdict;
-        FlightRecorder::Global().Emit(verdict);
-      }
-      return *cached ? OkStatus()
-                     : PermissionDenied("denied (cached guard decision)");
-    }
-  }
-  // The engine upcall runs outside the cache locks, so a concurrent
-  // setgoal/setproof can invalidate this tuple's subregion mid-evaluation.
-  // Snapshot the subregion generation first; InsertIfUnchanged drops the
-  // verdict if an invalidation raced it, so a stale decision is recomputed
-  // on the next miss instead of cached past its goal change.
-  uint64_t generation = cache_enabled ? decision_cache_.Generation(request) : 0;
-  // The miss is about to cross the engine (proof check, possibly remote
-  // round trips) — microseconds of work, so a cycle read here is free
-  // relative to what it measures.
-  uint64_t miss_start = trace.active() ? ReadCycleCounter() : 0;
-  // Stamp the trace id into the request the engine sees: the guard,
-  // designated-guard upcall, and remote authorities tag their events with
-  // it. Zero when untraced — downstream stages then skip emission.
-  AuthzRequest stamped = request;
-  if (stamped.trace == 0) {
-    stamped.trace = trace.id();
-  }
-  AuthzDecision decision = engine_->Authorize(stamped);
-  if (cache_enabled && decision.cacheable) {
-    decision_cache_.InsertIfUnchanged(request, decision.allowed(), generation);
-  }
-  if (!decision.allowed()) {
-    authorize_denies_->Increment();
-  }
-  if (trace.active()) {
-    uint32_t elapsed = static_cast<uint32_t>(ReadCycleCounter() - miss_start);
-    authorize_cycles_->Record(elapsed);
-    TraceEvent verdict;
-    verdict.trace_id = trace.id();
-    verdict.subject = request.subject;
-    verdict.op = request.op;
-    verdict.obj = request.obj;
-    verdict.latency = elapsed;
-    // Re-read after the engine returned: together with the probe's stamp
-    // this brackets the verdict's validity window [probe gen, this gen] —
-    // the auditor's serializability join key. Traced misses only.
-    verdict.generation = cache_enabled ? decision_cache_.Generation(request) : 0;
-    verdict.flags = static_cast<uint16_t>(
-        (cache_enabled ? kTraceFlagCacheMiss : 0) |
-        (decision.cacheable ? 0 : kTraceFlagUncacheable) |
-        (decision.allowed() ? 0 : kTraceFlagDenied));
-    verdict.aux = decision.consulted_authorities;
-    verdict.verdict = decision.allowed() ? kTraceVerdictAllow : kTraceVerdictDeny;
-    verdict.stage = TraceStage::kVerdict;
-    FlightRecorder::Global().Emit(verdict);
-  }
-  return decision.ToStatus();
+  Status result;
+  AuthorizePipeline(std::span<const AuthzRequest>(&request, 1), std::span<Status>(&result, 1));
+  return result;
 }
 
 Status Kernel::Authorize(ProcessId subject, std::string_view operation,
@@ -1219,78 +1053,152 @@ Status Kernel::Authorize(ProcessId subject, std::string_view operation,
 
 std::vector<Status> Kernel::AuthorizeBatch(std::span<const AuthzRequest> requests) {
   std::vector<Status> results(requests.size());
-  if (engine_ == nullptr) {
-    return results;  // Value-initialized Status is OK.
-  }
-  authorize_requests_->Increment(requests.size());
-  // One trace id covers the whole batch: the point of batching is that the
-  // items share an evaluation, so their provenance shares a chain.
-  TraceScope trace;
-  bool cache_enabled = decision_cache_enabled_.load();
-  std::vector<AuthzRequest> misses;
-  std::vector<size_t> miss_slots;
-  std::vector<uint64_t> miss_generations;
-  // Runs of identical (subject, op, obj) tuples — a batched server asking
-  // the same question per message, the dominant shape — share ONE probe
-  // and one verdict: the batch serializes at a single authorization point
-  // by design (see the trace-id comment above), so asking again inside it
-  // could not observe a different answer. `run_head` is the first index
-  // of the current run; later members copy its result at the end.
-  std::vector<std::pair<size_t, size_t>> dups;  // (slot, run head slot)
-  dups.reserve(requests.size());
-  size_t run_head = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (i > 0) {
-      const AuthzRequest& prev = requests[i - 1];
-      if (requests[i].subject == prev.subject && requests[i].op == prev.op &&
-          requests[i].obj == prev.obj) {
-        dups.emplace_back(i, run_head);
-        continue;
-      }
-      run_head = i;
-    }
-    if (cache_enabled) {
-      std::optional<bool> cached = decision_cache_.Lookup(requests[i]);
-      if (cached.has_value()) {
-        if (!*cached) {
-          authorize_denies_->Increment();
-        }
-        results[i] =
-            *cached ? OkStatus() : PermissionDenied("denied (cached guard decision)");
-        continue;
-      }
-    }
-    misses.push_back(requests[i]);
-    misses.back().trace = trace.id();  // 0 when untraced; see Authorize.
-    miss_slots.push_back(i);
-    // Snapshot before the engine upcall: see Authorize for the stale-insert
-    // race this closes.
-    miss_generations.push_back(cache_enabled ? decision_cache_.Generation(requests[i]) : 0);
-  }
-  if (!misses.empty()) {
-    std::vector<AuthzDecision> decisions = engine_->AuthorizeBatch(misses);
-    for (size_t j = 0; j < misses.size(); ++j) {
-      if (cache_enabled && decisions[j].cacheable) {
-        decision_cache_.InsertIfUnchanged(misses[j], decisions[j].allowed(),
-                                          miss_generations[j]);
-      }
-      if (!decisions[j].allowed()) {
-        authorize_denies_->Increment();
-      }
-      results[miss_slots[j]] = decisions[j].ToStatus();
-    }
-  }
-  // Run members copy their head's result (heads resolve before any dup
-  // that references them — dups only point backward). Deny accounting
-  // stays per-request, matching the serial path. An allowed head needs no
-  // copy at all: the results vector value-initializes to OK.
-  for (const auto& [slot, head] : dups) {
-    if (!results[head].ok()) {
-      authorize_denies_->Increment();
-      results[slot] = results[head];
-    }
-  }
+  AuthorizePipeline(requests, results);
   return results;
+}
+
+void Kernel::AuthorizePipeline(std::span<const AuthzRequest> requests,
+                               std::span<Status> results) {
+  const size_t n = requests.size();
+  if (engine_ == nullptr) {
+    return;  // Authorization disabled (Fig. 4 case "system call").
+  }
+  authorize_requests_->Increment(n);
+  // Adopts the syscall/Call trace id when one is active (the usual case:
+  // authorization runs inside an Invoke); at the root it opens its own.
+  // One id covers a batch: its items share an evaluation, so their
+  // provenance shares a chain.
+  TraceScope trace;
+  const bool traced = trace.active();
+  const bool cache_enabled = decision_cache_enabled_.load();
+  auto deny = [&](size_t i, Status reason) {
+    authorize_denies_->Increment();
+    results[i] = std::move(reason);
+  };
+  // Misses are staged in thread-local scratch, moved out for the duration
+  // of the call (as in CallMany): a designated guard that re-enters
+  // Authorize on this thread finds it empty and allocates its own. A
+  // cached hit never touches it.
+  static thread_local MissBatch miss_scratch;
+  std::optional<MissBatch> misses;
+
+  // Phase 1: probe. Runs of identical (subject, op, obj) tuples — a
+  // batched server asking the same question per message, the dominant
+  // shape — share ONE probe and one verdict: the batch serializes at a
+  // single authorization point, so asking again inside it could not
+  // observe a different answer. Every run member still emits its own
+  // probe and verdict events, carrying the head's generation window.
+  auto run_end = [&](size_t head) {
+    size_t end = head + 1;
+    while (end < n && requests[end] == requests[head]) {
+      ++end;
+    }
+    return end;
+  };
+  for (size_t head = 0, end = 0; head < n; head = end) {
+    end = run_end(head);
+    std::optional<bool> cached;
+    uint64_t generation = 0;
+    if (cache_enabled) {
+      cached = decision_cache_.Lookup(requests[head]);
+      // The engine upcall runs outside the cache locks, so a concurrent
+      // setgoal/setproof can invalidate this tuple's subregion mid-
+      // evaluation. A miss snapshots the generation first, and
+      // InsertIfUnchanged drops a verdict an invalidation raced, so it is
+      // recomputed on the next miss instead of cached past its goal
+      // change. A hit pays the extra shard read only when traced: it is
+      // valid exactly under the generation the probe observed (Lookup only
+      // returns entries stamped with the current gen).
+      if (traced || !cached.has_value()) {
+        generation = decision_cache_.Generation(requests[head]);
+      }
+    }
+    for (size_t i = head; i < end; ++i) {
+      if (cache_enabled) {
+        EmitDecisionEvent(trace, TraceStage::kCacheProbe, requests[i], generation,
+                          cached.has_value() ? kTraceFlagCacheHit : kTraceFlagCacheMiss,
+                          kTraceVerdictNone);
+      }
+      if (cached.has_value()) {
+        EmitDecisionEvent(trace, TraceStage::kVerdict, requests[i], generation,
+                          kTraceFlagCacheHit | (*cached ? uint16_t{0} : kTraceFlagDenied),
+                          VerdictOf(*cached));
+        if (!*cached) {
+          deny(i, PermissionDenied("denied (cached guard decision)"));
+        }
+      }
+    }
+    if (cached.has_value()) {
+      continue;
+    }
+    if (!misses.has_value()) {
+      misses.emplace(std::move(miss_scratch));
+    }
+    // Stamp the trace id into the request the engine sees, unless the
+    // caller supplied one: the guard, designated-guard upcall, and remote
+    // authorities tag their events with it. Zero when untraced —
+    // downstream stages then skip emission.
+    AuthzRequest& stamped = misses->requests.emplace_back(requests[head]);
+    if (stamped.trace == 0) {
+      stamped.trace = trace.id();
+    }
+    misses->slots.push_back(head);
+    misses->generations.push_back(generation);
+  }
+  if (!misses.has_value()) {
+    return;
+  }
+
+  // Phase 2: ONE engine upcall for every miss. Exactly one takes the
+  // engine's single-request entry point; more share AuthorizeBatch, which
+  // amortizes credential collection and deduplicates authority
+  // consultations. The miss crosses the engine (proof check, possibly
+  // remote round trips) — microseconds of work, so a cycle read here is
+  // free relative to what it measures.
+  uint64_t miss_start = traced ? ReadCycleCounter() : 0;
+  std::vector<AuthzDecision> batch_decisions;
+  AuthzDecision single_decision;
+  std::span<const AuthzDecision> decisions;
+  if (misses->requests.size() == 1) {
+    single_decision = engine_->Authorize(misses->requests.front());
+    decisions = std::span<const AuthzDecision>(&single_decision, 1);
+  } else {
+    batch_decisions = engine_->AuthorizeBatch(misses->requests);
+    decisions = batch_decisions;
+  }
+  uint32_t elapsed = 0;
+  if (traced) {
+    elapsed = static_cast<uint32_t>(ReadCycleCounter() - miss_start);
+    authorize_cycles_->Record(elapsed);
+  }
+  for (size_t j = 0; j < misses->slots.size(); ++j) {
+    const AuthzDecision& decision = decisions[j];
+    const size_t head = misses->slots[j];
+    if (cache_enabled && decision.cacheable) {
+      decision_cache_.InsertIfUnchanged(requests[head], decision.allowed(),
+                                        misses->generations[j]);
+    }
+    // Re-read after the engine returned: together with the probe's stamp
+    // this brackets the verdict's validity window [probe gen, this gen] —
+    // the auditor's serializability join key. Traced misses only.
+    uint64_t verdict_gen =
+        traced && cache_enabled ? decision_cache_.Generation(requests[head]) : 0;
+    uint16_t flags = static_cast<uint16_t>((cache_enabled ? kTraceFlagCacheMiss : 0) |
+                                           (decision.cacheable ? 0 : kTraceFlagUncacheable) |
+                                           (decision.allowed() ? 0 : kTraceFlagDenied));
+    for (size_t i = head, end = run_end(head); i < end; ++i) {
+      EmitDecisionEvent(trace, TraceStage::kVerdict, requests[i], verdict_gen, flags,
+                        VerdictOf(decision.allowed()), elapsed,
+                        decision.consulted_authorities);
+      if (!decision.allowed()) {
+        deny(i, decision.deny_reason);
+      }
+    }
+  }
+  misses->requests.clear();
+  misses->slots.clear();
+  misses->generations.clear();
+  miss_scratch = std::move(*misses);
 }
 
 namespace {

@@ -199,23 +199,23 @@ class Kernel {
   // is a different port, even mid-churn.
   Result<uint64_t> PortGeneration(PortId port) const;
 
-  // Synchronous IPC call: marshaling, interposition, authorization, handler
-  // dispatch, reply interposition. Safe from worker threads (a miss may
-  // upcall a designated guard or an authority port mid-evaluation). A call
-  // addressed to a reserved syscall port IS that syscall (the real
-  // kernel's SYSCALL_IPCPORT semantics) and routes through Invoke.
-  IpcReply Call(ProcessId caller, PortId port, const IpcMessage& message);
-
-  // Batched submission: N messages for ONE port in a single boundary
-  // crossing — one trace scope, one port snapshot, one interceptor-chain
-  // snapshot, one HandleMany dispatch (servers amortize authorization
-  // across the batch via AuthorizeBatch). The interceptor chain still
-  // runs PER MESSAGE, forward on call and backward on reply, so every
-  // interposition invariant the auditor checks holds for batched chains
-  // exactly as for singles. `messages` and `replies` must be the same
-  // length; returns the number of OK replies.
+  // IPC submission: N messages for ONE port in a single boundary crossing,
+  // through the kernel's one admission pipeline — syscall-port arithmetic
+  // (a call addressed to a reserved syscall port IS that syscall, the real
+  // kernel's SYSCALL_IPCPORT semantics, and routes through Invoke), one
+  // trace scope, one port snapshot, one interceptor-chain snapshot, wire
+  // bounds, charged legacy resolution, the forward chain, ONE dispatch of
+  // the surviving sub-batch (Handle for one message, HandleMany for more —
+  // servers amortize authorization across a batch via AuthorizeBatch),
+  // reply bounds, and the reverse chain. The chain runs PER MESSAGE, so
+  // every interposition invariant the auditor checks holds for batches
+  // exactly as for singles. Safe from worker threads (a miss may upcall a
+  // designated guard or an authority port mid-evaluation). `messages` and
+  // `replies` must be the same length; returns the number of OK replies.
   size_t CallMany(ProcessId caller, PortId port, std::span<const IpcMessage> messages,
                   std::span<IpcReply> replies);
+  // A batch of one.
+  IpcReply Call(ProcessId caller, PortId port, const IpcMessage& message);
 
   // -------------------------------------------------------- Interposition
   // Installs an interceptor on a port. Subject to authorization (operation
@@ -223,7 +223,7 @@ class Kernel {
   // runs first. Returns a token for removal.
   Result<uint64_t> Interpose(ProcessId monitor, PortId port, Interceptor* interceptor);
   Status RemoveInterposition(uint64_t token);
-  // Global switch: when disabled, Call() skips marshaling and interceptors
+  // Global switch: when disabled, calls skip the interceptor chains
   // entirely ("Nexus bare" in Table 1).
   void set_interposition_enabled(bool enabled) { interposition_enabled_.store(enabled); }
   bool interposition_enabled() const { return interposition_enabled_.load(); }
@@ -258,17 +258,17 @@ class Kernel {
   // endless novel names can no longer grow either table for the process
   // lifetime.
   //
-  // Authorize and AuthorizeBatch are the kernel's CONCURRENT frontend:
-  // cache hits contend only on the subject's shard; misses upcall the
-  // engine (read-write split, per-subject striped) and insert with a
-  // generation check so a verdict that raced a setgoal/setproof
-  // invalidation is dropped, not cached stale. Process/port lifecycle and
-  // Call/Invoke are concurrent-safe too — see the class comment.
-  Status Authorize(const AuthzRequest& request);
+  // Authorize and AuthorizeBatch are the kernel's CONCURRENT frontend and
+  // one pipeline: cache hits are answered inline (a lock-free seqlock read,
+  // no allocation), runs of identical tuples share one probe, and the
+  // misses cross the engine in ONE upcall (AuthorizeBatch deduplicates
+  // authority consultations) and insert with a generation check, so a
+  // verdict that raced a setgoal/setproof invalidation is dropped, not
+  // cached stale. Traced calls emit a kCacheProbe and a kVerdict per
+  // request. Process/port lifecycle and Call/Invoke are concurrent-safe
+  // too — see the class comment.
+  Status Authorize(const AuthzRequest& request);  // A batch of one.
   Status Authorize(ProcessId subject, std::string_view operation, std::string_view object);
-  // Batched fast path: cache hits answered inline, misses forwarded to the
-  // engine's AuthorizeBatch in one upcall (which deduplicates authority
-  // consultations), cacheable verdicts inserted on the way out.
   std::vector<Status> AuthorizeBatch(std::span<const AuthzRequest> requests);
 
   // Interns an object name on behalf of `subject`, charging the subject's
@@ -392,7 +392,9 @@ class Kernel {
   // old one left behind.
   static uint64_t NextEpoch();
 
-  IpcReply Dispatch(ProcessId caller, const Port& port, const IpcMessage& message);
+  // The authorization pipeline behind Authorize and AuthorizeBatch.
+  // `results` arrives all OK; the pipeline writes each denial.
+  void AuthorizePipeline(std::span<const AuthzRequest> requests, std::span<Status> results);
   // The post-interposition syscall dispatch — split from Invoke so the
   // reply-direction interceptor chain runs over every branch's result.
   // Direct-indexed: kSyscallTable[call] is a member-function pointer, the

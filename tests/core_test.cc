@@ -103,6 +103,24 @@ TEST_F(NexusTest, ProcessCreationDepositsKernelLabels) {
   EXPECT_TRUE(found_hash);
 }
 
+TEST_F(NexusTest, KillProcessDeletesLaunchHashLabel) {
+  // Every engine miss copies the system labelstore into its credential
+  // set, so process churn must not grow it.
+  const size_t baseline = nexus_.engine().SystemStore().size();
+  for (int i = 0; i < 256; ++i) {
+    kernel::ProcessId pid = *nexus_.CreateProcess("churn", ToBytes("churn-binary"));
+    EXPECT_EQ(nexus_.engine().SystemStore().size(), baseline + 1);
+    ASSERT_TRUE(nexus_.KillProcess(pid).ok());
+    EXPECT_FALSE(nexus_.kernel().IsAlive(pid));
+  }
+  EXPECT_EQ(nexus_.engine().SystemStore().size(), baseline);
+  // A second kill fails in the kernel and deletes nothing more.
+  kernel::ProcessId pid = *nexus_.CreateProcess("once", ToBytes("once-binary"));
+  ASSERT_TRUE(nexus_.KillProcess(pid).ok());
+  EXPECT_EQ(nexus_.KillProcess(pid).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(nexus_.engine().SystemStore().size(), baseline);
+}
+
 // ---------------------------------------------------------- say syscall
 
 TEST_F(NexusTest, SayAttributesToCaller) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "kernel/decision_cache.h"
 #include "nal/interner.h"
@@ -1129,6 +1130,70 @@ TEST(CallManyTest, VerdictsMatchSerialCalls) {
     EXPECT_EQ(batched[1].status.code(), ErrorCode::kInvalidArgument);
     EXPECT_EQ(batched[2].status.code(), ErrorCode::kInvalidArgument);
   }
+}
+
+TEST(CallManyTest, BatchOfOneMatchesCall) {
+  // Call(m) is CallMany({m}): for every admission outcome both return the
+  // same reply and emit the same kCall/kReplyInterpose events.
+  Kernel k;
+  ProcessId server = *k.CreateProcess("s", ToBytes("s"));
+  ProcessId client = *k.CreateProcess("c", ToBytes("c"), server);
+  EchoHandler handler;
+  PortId echo = *k.CreatePort(server);
+  k.BindHandler(echo, &handler);
+  PortId unbound = *k.CreatePort(server);
+  PortId guarded = *k.CreatePort(server);
+  k.BindHandler(guarded, &handler);
+  CountingInterceptor call_denier;
+  call_denier.deny = true;
+  ASSERT_TRUE(k.Interpose(server, guarded, &call_denier).ok());
+  PortId confiscated = *k.CreatePort(server);
+  k.BindHandler(confiscated, &handler);
+  CountingInterceptor reply_denier;
+  reply_denier.deny_reply = true;
+  ASSERT_TRUE(k.Interpose(server, confiscated, &reply_denier).ok());
+  const PortId getppid = SyscallIpcPort(Syscall::kGetPpid);
+  CountingInterceptor syscall_monitor;
+  ASSERT_TRUE(k.Interpose(kKernelProcessId, getppid, &syscall_monitor).ok());
+
+  using IpcEvent = std::tuple<TraceStage, ProcessId, OpId, uint64_t, uint16_t, uint8_t>;
+  FlightRecorder& recorder = FlightRecorder::Global();
+  auto drain_ipc_events = [&] {
+    std::vector<IpcEvent> out;
+    for (const TraceEvent& e : recorder.Recent()) {
+      if (e.stage == TraceStage::kCall || e.stage == TraceStage::kReplyInterpose) {
+        out.emplace_back(e.stage, e.subject, e.op, e.aux, e.flags, e.verdict);
+      }
+    }
+    recorder.Clear();
+    return out;
+  };
+  auto expect_same = [&](const char* input, PortId port, const IpcMessage& message,
+                         size_t expected_events) {
+    recorder.Clear();
+    recorder.set_enabled(true);
+    IpcReply single = k.Call(client, port, message);
+    std::vector<IpcEvent> single_events = drain_ipc_events();
+    IpcReply batched;
+    k.CallMany(client, port, std::span<const IpcMessage>(&message, 1),
+               std::span<IpcReply>(&batched, 1));
+    std::vector<IpcEvent> batch_events = drain_ipc_events();
+    recorder.set_enabled(false);
+    EXPECT_EQ(single.status, batched.status) << input;
+    Result<Bytes> single_wire = MarshalReply(single);
+    Result<Bytes> batch_wire = MarshalReply(batched);
+    ASSERT_TRUE(single_wire.ok() && batch_wire.ok()) << input;
+    EXPECT_EQ(*single_wire, *batch_wire) << input;
+    EXPECT_EQ(single_events, batch_events) << input;
+    EXPECT_EQ(batch_events.size(), expected_events) << input;
+  };
+  expect_same("missing port", 99999, IpcMessage::Of("x"), 0);
+  expect_same("unbound port", unbound, IpcMessage::Of("x"), 1);
+  expect_same("monitor deny", guarded, IpcMessage::Of("x"), 1);
+  expect_same("reply deny", confiscated, IpcMessage::Of("x"), 2);
+  expect_same("legacy op", echo, IpcMessage::FromLegacy("batch-of-one-legacy-op"), 1);
+  expect_same("syscall port", getppid, IpcMessage{}, 1);
+  EXPECT_EQ(syscall_monitor.returns, 2);
 }
 
 TEST(CallManyTest, ReservedPortsSurviveLifecycle) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,72 @@ TEST_F(ObservabilityTest, CachedRepeatTracesAsHit) {
     }
   }
   EXPECT_TRUE(saw_hit);
+}
+
+// Allows everything and records each request the kernel hands it.
+class RecordingEngine : public kernel::AuthorizationEngine {
+ public:
+  kernel::AuthzDecision Authorize(const kernel::AuthzRequest& request) override {
+    seen.push_back(request);
+    return kernel::AuthzDecision::Allow();
+  }
+  std::vector<kernel::AuthzRequest> seen;
+};
+
+// A traced AuthorizeBatch leaves the same per-request provenance a traced
+// Authorize does: one probe and one verdict per item — for a cache hit, a
+// miss, every member of a run of duplicates (which shares its head's
+// generation window), and a request whose caller preset its trace id,
+// which reaches the engine unchanged.
+TEST(BatchProvenanceTest, TracedAuthorizeBatchEmitsPerItemProbeAndVerdict) {
+  kernel::Kernel k;
+  RecordingEngine engine;
+  k.set_engine(&engine);
+  const kernel::OpId use = kernel::InternOp("use");
+  const kernel::AuthzRequest hit{1, use, kernel::InternObject("widget:hit")};
+  const kernel::AuthzRequest miss{1, use, kernel::InternObject("widget:miss")};
+  const kernel::AuthzRequest dup{2, use, kernel::InternObject("widget:dup")};
+  const kernel::AuthzRequest preset{3, use, kernel::InternObject("widget:preset"), 0xfeed};
+  ASSERT_TRUE(k.Authorize(hit).ok());  // Warm the cache.
+  engine.seen.clear();
+
+  ScopedRecorder recorder;
+  std::vector<kernel::AuthzRequest> batch = {hit, miss, dup, dup, dup, preset};
+  for (const Status& status : k.AuthorizeBatch(batch)) {
+    EXPECT_TRUE(status.ok());
+  }
+  std::vector<kernel::TraceEvent> events = kernel::FlightRecorder::Global().Recent();
+  auto of = [&](kernel::TraceStage stage, const kernel::AuthzRequest& r) {
+    std::vector<kernel::TraceEvent> out;
+    std::copy_if(events.begin(), events.end(), std::back_inserter(out),
+                 [&](const kernel::TraceEvent& e) {
+                   return e.stage == stage && e.subject == r.subject && e.op == r.op &&
+                          e.obj == r.obj;
+                 });
+    return out;
+  };
+  const std::pair<kernel::AuthzRequest, size_t> expected[] = {
+      {hit, 1}, {miss, 1}, {dup, 3}, {preset, 1}};
+  for (const auto& [request, items] : expected) {
+    ASSERT_EQ(of(kernel::TraceStage::kCacheProbe, request).size(), items) << request.obj;
+    ASSERT_EQ(of(kernel::TraceStage::kVerdict, request).size(), items) << request.obj;
+  }
+  EXPECT_TRUE(of(kernel::TraceStage::kVerdict, hit)[0].flags & kernel::kTraceFlagCacheHit);
+  std::vector<kernel::TraceEvent> dup_verdicts = of(kernel::TraceStage::kVerdict, dup);
+  for (const kernel::TraceEvent& e : dup_verdicts) {
+    EXPECT_TRUE(e.flags & kernel::kTraceFlagCacheMiss);
+    EXPECT_EQ(e.verdict, kernel::kTraceVerdictAllow);
+    EXPECT_EQ(e.generation, dup_verdicts[0].generation);
+    EXPECT_GE(e.generation, of(kernel::TraceStage::kCacheProbe, dup)[0].generation);
+  }
+
+  // One engine upcall for the three run heads: the batch's own trace id on
+  // the unstamped ones, the caller's on the preset one.
+  ASSERT_EQ(engine.seen.size(), 3u);
+  EXPECT_EQ(engine.seen[0].trace, dup_verdicts[0].trace_id);
+  EXPECT_NE(engine.seen[0].trace, 0u);
+  EXPECT_EQ(engine.seen[1].trace, dup_verdicts[0].trace_id);
+  EXPECT_EQ(engine.seen[2].trace, 0xfeedu);
 }
 
 // The metrics plane is readable through the guarded proc-read syscall, and
